@@ -131,12 +131,8 @@ LevelObservations ObserveLevels(const LiveTelemetry& live,
     const LiveTelemetry::PerLevel& in = live.per_level[i];
     LevelObservation& out = obs.per_level[i];
     if (in.commits != nullptr) out.commits = in.commits->WindowTotal(now);
-    if (in.aborts_write_conflict != nullptr) {
-      out.aborts += in.aborts_write_conflict->WindowTotal(now);
-    }
-    if (in.aborts_ssi != nullptr) out.aborts += in.aborts_ssi->WindowTotal(now);
-    if (in.aborts_deadlock != nullptr) {
-      out.aborts += in.aborts_deadlock->WindowTotal(now);
+    for (const WindowedCounter* aborts : in.aborts) {
+      if (aborts != nullptr) out.aborts += aborts->WindowTotal(now);
     }
     if (in.commit_latency_us != nullptr) {
       out.p95_latency_us = in.commit_latency_us->WindowStats(now).p95;

@@ -13,7 +13,7 @@
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
 #include "iso/allocation.h"
-#include "mvcc/driver.h"
+#include "mvcc/observer.h"
 #include "promote/optimizer.h"
 #include "txn/transaction_set.h"
 
@@ -68,7 +68,8 @@ class ActiveAllocation {
 /// Windowed summary of one isolation level's live series at one instant.
 struct LevelObservation {
   uint64_t commits = 0;
-  /// Sum over the per-reason abort series (write conflict + SSI + deadlock).
+  /// Sum over the per-cause abort series (write conflict, SSI, deadlock,
+  /// lock conflict, user).
   uint64_t aborts = 0;
   uint64_t p95_latency_us = 0;
 };

@@ -841,6 +841,10 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
       flags.Has("record-schedule") || flags.Has("record-trace");
   std::optional<ScheduleRecorder> recorder;
   if (recording) recorder.emplace();
+  // One observer list serves either engine.
+  std::vector<EngineObserver*> observers;
+  if (recorder.has_value()) observers.push_back(&*recorder);
+  if (tracer != nullptr) observers.push_back(tracer);
   uint64_t commits = 0;
   uint64_t fuw = 0;
   uint64_t ssi = 0;
@@ -861,8 +865,7 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
       ConcurrentEngineOptions engine_options;
       engine_options.num_shards = static_cast<size_t>(*engine_shards);
       engine_options.metrics = metrics;
-      engine_options.tracer = tracer;
-      if (recorder.has_value()) engine_options.recorder = &*recorder;
+      engine_options.observers = observers;
       concurrent_engine.emplace(txns->num_objects(),
                                 static_cast<size_t>(*engine_threads),
                                 engine_options);
@@ -871,8 +874,7 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
     } else {
       EngineOptions engine_options;
       engine_options.metrics = metrics;
-      engine_options.tracer = tracer;
-      if (recorder.has_value()) engine_options.recorder = &*recorder;
+      engine_options.observers = observers;
       engine.emplace(txns->num_objects(), engine_options);
       report = RunRandom(*engine, *txns, *alloc, options);
     }

@@ -30,6 +30,7 @@
 #include "mvcc/concurrent_engine.h"
 #include "mvcc/driver.h"
 #include "mvcc/engine.h"
+#include "mvcc/observer.h"
 #include "mvcc/txn_trace.h"
 
 namespace mvrob {
@@ -160,7 +161,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
   }
 
   MetricsRegistry registry;
-  const LiveTelemetry live = MakeLiveTelemetry(registry, params.window_s);
+  LiveTelemetry live(registry, params.window_s);
   WitnessState witness;
 
   // Stall watchdog: always on in serve mode. Long phases (engine workers,
@@ -181,6 +182,10 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
     tracer.emplace(tracer_options);
   }
   TxnTracer* tracer_ptr = tracer.has_value() ? &*tracer : nullptr;
+  // The engine event stream feeds the live per-level series and, with
+  // tracing on, the tracer; one list serves every engine epoch.
+  std::vector<EngineObserver*> observers{&live};
+  if (tracer_ptr != nullptr) observers.push_back(tracer_ptr);
 
   std::atomic<bool> stop{false};
   std::mutex stop_mu;
@@ -375,7 +380,6 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
       options.metrics = &registry;
       options.stop = &stop;
       options.continuous = true;
-      options.live = &live;
       options.tracer = tracer_ptr;
       options.watchdog = &watchdog;
       DriverReport report;
@@ -383,7 +387,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
         ConcurrentEngineOptions engine_options;
         engine_options.num_shards = params.engine_shards;
         engine_options.metrics = &registry;
-        engine_options.tracer = tracer_ptr;
+        engine_options.observers = observers;
         engine_options.watchdog = &watchdog;
         ConcurrentEngine engine(
             txns.num_objects(),
@@ -393,7 +397,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
       } else {
         EngineOptions engine_options;
         engine_options.metrics = &registry;
-        engine_options.tracer = tracer_ptr;
+        engine_options.observers = observers;
         Engine engine(txns.num_objects(), engine_options);
         report = RunRandom(engine, txns, alloc, options);
       }

@@ -38,7 +38,6 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
                            const RandomRunOptions& options) {
   PhaseTimer timer(options.metrics, "driver.run_concurrent");
   const size_t workers = engine.num_workers();
-  const LiveTelemetry* live = options.live;
   TxnTracer* tracer = options.tracer;
   if (tracer != nullptr) tracer->BeginRun(programs);
 
@@ -86,27 +85,6 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
         out_of_budget.store(true, std::memory_order_relaxed);
       }
     };
-    auto live_abort = [&](TxnId t, AbortReason reason) {
-      if (live == nullptr) return;
-      const LiveTelemetry::PerLevel& slot =
-          live->per_level[static_cast<size_t>(alloc.level(t))];
-      WindowedCounter* counter = nullptr;
-      switch (reason) {
-        case AbortReason::kWriteConflict:
-          counter = slot.aborts_write_conflict;
-          break;
-        case AbortReason::kSsiDangerousStructure:
-          counter = slot.aborts_ssi;
-          break;
-        case AbortReason::kUser:
-          counter = slot.aborts_deadlock;
-          break;
-        case AbortReason::kNone:
-          break;
-      }
-      if (counter != nullptr) counter->Increment();
-    };
-
     // Runs one program to commit (or until it gives up / the run stops).
     auto run_program = [&](TxnId t) {
       const Transaction& program = programs.txn(t);
@@ -119,20 +97,14 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
         if (tracer != nullptr) {
           tracer->BeginAttempt(flow, session, t, alloc.level(t));
         }
-        std::chrono::steady_clock::time_point attempt_start{};
-        if (live != nullptr) {
-          attempt_start = std::chrono::steady_clock::now();
-        }
         bool aborted = false;
         bool lock_conflict = false;
         bool committed = false;
-        AbortReason reason = AbortReason::kNone;
         for (int i = 0; !aborted && !committed; ++i) {
           const Operation& op = program.op(i);
           count_step();
           if (op.IsRead()) {
             engine.Read(w, op.object);
-            if (tracer != nullptr) tracer->OnRead(flow, op.object);
           } else if (op.IsWrite()) {
             WriteResult result = engine.Write(w, op.object, next_value++);
             if (result.status == StepStatus::kBlocked) {
@@ -140,56 +112,22 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
               // not consume the retry budget (the deterministic driver
               // would have waited here, not aborted).
               ++local.blocked_steps;
-              if (tracer != nullptr) {
-                tracer->OnBlocked(flow, op.object, result.blocker);
-                ConflictAttribution attribution;
-                attribution.conflicting_session = result.blocker;
-                attribution.object = op.object;
-                attribution.type = ConflictType::kWW;
-                attribution.cause = TraceAbortCause::kNoWaitLockConflict;
-                tracer->AttributeAbort(session, attribution);
-              }
-              engine.Abort(w);
+              engine.Abort(w, TraceAbortCause::kNoWaitLockConflict);
               aborted = true;
               lock_conflict = true;
-              reason = AbortReason::kUser;
             } else if (result.status == StepStatus::kAborted) {
               aborted = true;
-              reason = result.abort_reason;
-            } else if (tracer != nullptr) {
-              tracer->OnWrite(flow, op.object);
             }
           } else {
-            CommitResult result = engine.Commit(w);
-            if (result.status == StepStatus::kOk) {
-              committed = true;
-            } else {
-              aborted = true;
-              reason = result.abort_reason;
-            }
+            committed = engine.Commit(w).status == StepStatus::kOk;
+            aborted = !committed;
           }
         }
-        if (tracer != nullptr) tracer->EndAttempt(flow, committed, reason);
         if (committed) {
           if (tracer != nullptr) tracer->EndFlow(flow, true);
           ++local.committed;
-          if (live != nullptr) {
-            const LiveTelemetry::PerLevel& slot =
-                live->per_level[static_cast<size_t>(alloc.level(t))];
-            if (slot.commits != nullptr) slot.commits->Increment();
-            if (slot.commit_latency_us != nullptr) {
-              const auto now = std::chrono::steady_clock::now();
-              slot.commit_latency_us->Observe(
-                  static_cast<uint64_t>(
-                      std::chrono::duration_cast<std::chrono::microseconds>(
-                          now - attempt_start)
-                          .count()),
-                  now);
-            }
-          }
           return;
         }
-        live_abort(t, reason);
         if (lock_conflict) {
           ++local.deadlock_victims;
           std::this_thread::yield();

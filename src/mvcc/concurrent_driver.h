@@ -21,15 +21,17 @@ namespace mvrob {
 ///    equivalent to a deterministic interleaving (mvcc/roundtrip.h);
 ///  - no-wait locking: a write that hits a foreign row lock aborts the
 ///    attempt and retries after a yield instead of waiting, so there are
-///    no cross-thread wait cycles to detect. Lock-conflict aborts are
-///    counted in DriverReport::deadlock_victims (and on the live
-///    "deadlock" abort series) and do not consume the program's retry
-///    budget — only engine-initiated aborts (first-updater-wins, SSI) do.
+///    no cross-thread wait cycles to detect. The abort carries cause
+///    kNoWaitLockConflict (the lock_conflict abort series); it is counted
+///    in DriverReport::deadlock_victims and does not consume the program's
+///    retry budget — only engine-initiated aborts (first-updater-wins,
+///    SSI) do.
 ///
 /// Honors options.max_retries, max_steps (approximately: the budget is
-/// checked in small batches per worker), seed, stop, continuous, metrics
-/// and live. options.concurrency is ignored — the effective concurrency
-/// is the engine's worker count. session_of_program is left empty.
+/// checked in small batches per worker), seed, stop, continuous, metrics,
+/// tracer and watchdog. options.concurrency is ignored — the effective
+/// concurrency is the engine's worker count. session_of_program is left
+/// empty.
 DriverReport RunConcurrent(ConcurrentEngine& engine,
                            const TransactionSet& programs,
                            const Allocation& alloc,

@@ -15,10 +15,7 @@ class Counter;
 class Gauge;
 class Histogram;
 class MetricsRegistry;
-class ScheduleRecorder;
-class TxnTracer;
 class Watchdog;
-struct EngineEvent;
 
 /// Tuning knobs for the many-core engine.
 struct ConcurrentEngineOptions {
@@ -26,34 +23,24 @@ struct ConcurrentEngineOptions {
   /// index and has one latch guarding its version chains and row locks.
   /// 0 picks a default (4x the worker count, at least 16).
   size_t num_shards = 0;
-  /// SSI detection. The conservative pivot check reads *active* sessions
-  /// and is only sound single-threaded, so the concurrent engine always
-  /// runs the exact Definition 2.4 check over committed SSI sessions;
-  /// kConservative is accepted and silently upgraded to kExact.
-  SsiMode ssi_mode = SsiMode::kExact;
   /// Writer commits per garbage-collection epoch. When a worker's commit
   /// crosses an epoch boundary it reclaims every version no published
   /// snapshot can observe (the concurrent replacement for the driver's
   /// periodic Vacuum). 0 disables epoch GC.
   uint64_t commits_per_epoch = 4096;
-  /// Optional observability sink. Beyond the single-threaded engine's
-  /// mvcc.* families this exports per-shard telemetry
-  /// (mvcc.shard.versions{shard=K}, mvcc.shard.lock_wait_us{shard=K}) and
-  /// the epoch-GC series (mvcc.gc.reclaimed, mvcc.gc.epochs,
-  /// mvcc.gc.horizon). Null disables all instrumentation.
+  /// Optional observability sink. Attaches the per-op mvcc.* counters
+  /// (an EngineCounters observer) and exports the mvcc.version_chain_len
+  /// histogram, per-shard telemetry (mvcc.shard.versions{shard=K},
+  /// mvcc.shard.lock_wait_us{shard=K}) and the epoch-GC series
+  /// (mvcc.gc.reclaimed, mvcc.gc.epochs, mvcc.gc.horizon). Null disables
+  /// all instrumentation.
   MetricsRegistry* metrics = nullptr;
-  /// Optional schedule recorder. Event appends are serialized on an
-  /// internal mutex (sessions still execute concurrently); the log
-  /// round-trips through `mvrob validate` exactly like a single-threaded
-  /// recording. Null disables recording.
-  ScheduleRecorder* recorder = nullptr;
-  /// Optional transaction tracer (mvcc/txn_trace.h): causal attribution of
-  /// engine-initiated aborts (first-updater-wins, SSI dangerous
-  /// structure), same nullable zero-cost contract as the single-threaded
-  /// engine. The tracer serializes internally on one mutex; attribution
-  /// facts are captured under the owning shard/commit latch, so they are
-  /// consistent with the abort decision.
-  TxnTracer* tracer = nullptr;
+  /// Observers of the engine event stream (mvcc/observer.h), called on the
+  /// worker threads and so required to be thread-safe. Begin events are
+  /// delivered in session-id order; a recording round-trips through
+  /// `mvrob validate` exactly like a single-threaded one. Empty (the
+  /// default) costs one untaken branch per step.
+  std::vector<EngineObserver*> observers{};
   /// Optional stall watchdog: epoch GC sweeps run under a monitored scope
   /// so a sweep wedged on a shard latch produces a symbolized stall dump.
   /// Null disables (the usual zero-cost-when-detached contract).
@@ -128,9 +115,9 @@ class ConcurrentEngine {
   /// global commit order.
   CommitResult Commit(size_t worker);
 
-  /// Aborts the worker's active session (caller-initiated, e.g. after a
-  /// no-wait lock conflict).
-  void Abort(size_t worker);
+  /// Aborts the worker's active session on the caller's behalf; `cause`
+  /// as for Engine::Abort (kNoWaitLockConflict after a kBlocked write).
+  void Abort(size_t worker, TraceAbortCause cause = TraceAbortCause::kUser);
 
   /// Sweeps all shards, reclaiming versions below the minimum published
   /// snapshot horizon. Runs automatically every commits_per_epoch writer
@@ -173,9 +160,10 @@ class ConcurrentEngine {
   }
   Shard& ShardOf(ObjectId object);
   void LockShard(Shard& shard);
-  void AbortInternal(WorkerSlot& slot, AbortReason reason);
+  void AbortInternal(WorkerSlot& slot, AbortReason reason,
+                     const ConflictAttribution& why);
   void ReleaseRowLocks(const SessionRecord& record, SessionId id);
-  void RecordEvent(const EngineEvent& event);
+  void Emit(const EngineEvent& event);
   /// Drops committed-SSI registry entries that can no longer join a
   /// dangerous structure with any active or future session. Caller holds
   /// commit_mu_.
@@ -207,17 +195,11 @@ class ConcurrentEngine {
   std::atomic<uint64_t> gc_epochs_{0};
   std::atomic<uint64_t> gc_reclaimed_{0};
 
-  std::mutex record_mu_;
+  std::unique_ptr<EngineCounters> counters_;
+  /// options_.observers plus counters_; empty when nothing watches.
+  std::vector<EngineObserver*> observers_;
 
-  // Engine-wide metric handles (null when options_.metrics is null).
-  Counter* m_begins_ = nullptr;
-  Counter* m_reads_ = nullptr;
-  Counter* m_writes_ = nullptr;
-  Counter* m_commits_ = nullptr;
-  Counter* m_aborts_write_conflict_ = nullptr;
-  Counter* m_aborts_ssi_ = nullptr;
-  Counter* m_aborts_user_ = nullptr;
-  Counter* m_blocked_steps_ = nullptr;
+  // Non-event metric handles (null when options_.metrics is null).
   Histogram* m_version_chain_len_ = nullptr;
   Counter* m_gc_reclaimed_ = nullptr;
   Counter* m_gc_epochs_ = nullptr;

@@ -60,31 +60,6 @@ StatusOr<DriverReport> RunExactInterleaving(Engine& engine,
   return report;
 }
 
-LiveTelemetry MakeLiveTelemetry(MetricsRegistry& registry,
-                                uint32_t window_seconds) {
-  LiveTelemetry live;
-  for (IsolationLevel level : kAllIsolationLevels) {
-    const char* name = IsolationLevelToString(level);
-    LiveTelemetry::PerLevel& slot =
-        live.per_level[static_cast<size_t>(level)];
-    slot.commits = &registry.windowed_counter(
-        StrCat("mvcc.live.commits{level=", name, "}"), window_seconds);
-    slot.aborts_write_conflict = &registry.windowed_counter(
-        StrCat("mvcc.live.aborts{level=", name, ",reason=write_conflict}"),
-        window_seconds);
-    slot.aborts_ssi = &registry.windowed_counter(
-        StrCat("mvcc.live.aborts{level=", name, ",reason=ssi}"),
-        window_seconds);
-    slot.aborts_deadlock = &registry.windowed_counter(
-        StrCat("mvcc.live.aborts{level=", name, ",reason=deadlock}"),
-        window_seconds);
-    slot.commit_latency_us = &registry.windowed_histogram(
-        StrCat("mvcc.live.commit_latency_us{level=", name, "}"),
-        window_seconds);
-  }
-  return live;
-}
-
 namespace {
 
 // Execution state of one program transaction in the random driver.
@@ -99,9 +74,6 @@ struct ProgramState {
   // flow_started survives retries so StartFlow runs once per execution.
   uint64_t flow = 0;
   bool flow_started = false;
-  // Wall-clock start of the current attempt; only read when live
-  // telemetry is attached.
-  std::chrono::steady_clock::time_point attempt_start{};
 };
 
 }  // namespace
@@ -132,11 +104,6 @@ DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
   uint64_t commits_at_last_gc = 0;
   uint64_t gc_epoch = 0;
 
-  const LiveTelemetry* live = options.live;
-  auto live_level = [&](TxnId t) -> const LiveTelemetry::PerLevel& {
-    return live->per_level[static_cast<size_t>(alloc.level(t))];
-  };
-
   auto admit = [&]() {
     while (window.size() < static_cast<size_t>(options.concurrency) &&
            !queue.empty()) {
@@ -165,9 +132,8 @@ DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
     }
     return false;
   };
-  auto handle_abort = [&](TxnId t, AbortReason reason) {
+  auto handle_abort = [&](TxnId t) {
     ProgramState& state = states[t];
-    if (tracer != nullptr) tracer->EndAttempt(state.flow, false, reason);
     state.session = kInvalidSessionId;
     state.next_op = 0;
     state.waiting_on = kInvalidSessionId;
@@ -179,26 +145,6 @@ DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
     }
   };
 
-  // Records an engine-initiated abort on the live per-level series.
-  auto live_abort = [&](TxnId t, AbortReason reason) {
-    if (live == nullptr) return;
-    const LiveTelemetry::PerLevel& slot = live_level(t);
-    WindowedCounter* counter = nullptr;
-    switch (reason) {
-      case AbortReason::kWriteConflict:
-        counter = slot.aborts_write_conflict;
-        break;
-      case AbortReason::kSsiDangerousStructure:
-        counter = slot.aborts_ssi;
-        break;
-      case AbortReason::kUser:
-        counter = slot.aborts_deadlock;
-        break;
-      case AbortReason::kNone:
-        break;
-    }
-    if (counter != nullptr) counter->Increment();
-  };
   auto stop_requested = [&]() {
     return options.stop != nullptr &&
            options.stop->load(std::memory_order_relaxed);
@@ -232,20 +178,9 @@ DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
           victim = t;
         }
       }
-      if (tracer != nullptr) {
-        // The victim was waiting on `waiting_on` for its next write.
-        ConflictAttribution attribution;
-        attribution.conflicting_session = states[victim].waiting_on;
-        attribution.object =
-            programs.txn(victim).op(states[victim].next_op).object;
-        attribution.type = ConflictType::kWW;
-        attribution.cause = TraceAbortCause::kDeadlockVictim;
-        tracer->AttributeAbort(states[victim].session, attribution);
-      }
-      engine.Abort(states[victim].session);
+      engine.Abort(states[victim].session, TraceAbortCause::kDeadlockVictim);
       ++report.deadlock_victims;
-      live_abort(victim, AbortReason::kUser);
-      handle_abort(victim, AbortReason::kUser);
+      handle_abort(victim);
       admit();
       continue;
     }
@@ -261,60 +196,34 @@ DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
       if (tracer != nullptr) {
         tracer->BeginAttempt(state.flow, state.session, t, alloc.level(t));
       }
-      if (live != nullptr) {
-        state.attempt_start = std::chrono::steady_clock::now();
-      }
     }
     const Transaction& program = programs.txn(t);
     const Operation& op = program.op(state.next_op);
     ++steps;
     if (op.IsRead()) {
       engine.Read(state.session, op.object);
-      if (tracer != nullptr) tracer->OnRead(state.flow, op.object);
       ++state.next_op;
     } else if (op.IsWrite()) {
       WriteResult result = engine.Write(state.session, op.object,
                                         next_value++);
       if (result.status == StepStatus::kOk) {
-        if (tracer != nullptr) tracer->OnWrite(state.flow, op.object);
         ++state.next_op;
       } else if (result.status == StepStatus::kBlocked) {
-        if (tracer != nullptr) {
-          tracer->OnBlocked(state.flow, op.object, result.blocker);
-        }
         ++report.blocked_steps;
         state.waiting_on = result.blocker;
       } else {
-        live_abort(t, result.abort_reason);
-        handle_abort(t, result.abort_reason);
+        handle_abort(t);
       }
     } else {
       CommitResult result = engine.Commit(state.session);
       if (result.status == StepStatus::kOk) {
         state.done = true;
         ++report.committed;
-        if (tracer != nullptr) {
-          tracer->EndAttempt(state.flow, true, AbortReason::kNone);
-          tracer->EndFlow(state.flow, true);
-        }
-        if (live != nullptr) {
-          const LiveTelemetry::PerLevel& slot = live_level(t);
-          if (slot.commits != nullptr) slot.commits->Increment();
-          if (slot.commit_latency_us != nullptr) {
-            const auto now = std::chrono::steady_clock::now();
-            slot.commit_latency_us->Observe(
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        now - state.attempt_start)
-                        .count()),
-                now);
-          }
-        }
+        if (tracer != nullptr) tracer->EndFlow(state.flow, true);
         retire(t);
         admit();
       } else {
-        live_abort(t, result.abort_reason);
-        handle_abort(t, result.abort_reason);
+        handle_abort(t);
         admit();
       }
     }

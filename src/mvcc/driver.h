@@ -13,32 +13,6 @@ namespace mvrob {
 
 class TxnTracer;
 class Watchdog;
-class WindowedCounter;
-class WindowedHistogram;
-
-/// Sliding-window instruments the random driver updates per commit/abort,
-/// keyed by the transaction's isolation level — the live per-level
-/// throughput / abort-rate / latency series behind `mvrob serve`. All
-/// pointers may be null (that series is simply skipped); resolve a full
-/// set from a registry with MakeLiveTelemetry. Latency is wall time from
-/// the attempt's Begin to its successful Commit, in microseconds.
-struct LiveTelemetry {
-  struct PerLevel {
-    WindowedCounter* commits = nullptr;
-    WindowedCounter* aborts_write_conflict = nullptr;
-    WindowedCounter* aborts_ssi = nullptr;
-    WindowedCounter* aborts_deadlock = nullptr;
-    WindowedHistogram* commit_latency_us = nullptr;
-  };
-  /// Indexed by static_cast<size_t>(IsolationLevel).
-  PerLevel per_level[kAllIsolationLevels.size()];
-};
-
-/// Resolves the full per-level instrument set on `registry` using the
-/// labeled-name convention consumed by the Prometheus renderer
-/// (e.g. "mvcc.live.commits{level=SI}").
-LiveTelemetry MakeLiveTelemetry(MetricsRegistry& registry,
-                                uint32_t window_seconds = 60);
 
 /// Summary of a driver run.
 struct DriverReport {
@@ -88,9 +62,6 @@ struct RandomRunOptions {
   /// keep the version store bounded. Scheduling stays deterministic for a
   /// fixed seed and step budget.
   bool continuous = false;
-  /// Live windowed per-isolation-level instruments (serve mode). Null
-  /// disables; like `metrics`, attaching it never changes the run.
-  const LiveTelemetry* live = nullptr;
   /// Engine worker threads. 1 selects the deterministic single-threaded
   /// driver (RunRandom); > 1 selects the many-core engine path
   /// (RunConcurrent in mvcc/concurrent_driver.h), which executes programs
@@ -104,12 +75,12 @@ struct RandomRunOptions {
   /// reclaims versions below the oldest live snapshot and logs one
   /// structured "mvcc.gc" line with the reclaimed count. 0 disables GC.
   uint64_t commits_per_epoch = 4096;
-  /// Optional transaction tracer (mvcc/txn_trace.h). The driver owns the
-  /// flow lifecycle: one flow per logical program execution, one attempt
-  /// span per engine session, ops on sampled flows, and attribution of
-  /// its own aborts (deadlock victims; the concurrent driver's no-wait
-  /// lock conflicts). Null disables tracing entirely; attaching a tracer
-  /// never changes scheduling — runs stay bit-identical.
+  /// Optional transaction tracer (mvcc/txn_trace.h). The driver reports
+  /// only the flow lifecycle — one flow per logical program execution, one
+  /// attempt per engine session; attach the same tracer to the engine's
+  /// observers for the attempts' ops, ends and abort attributions. Null
+  /// disables tracing; attaching a tracer never changes scheduling — runs
+  /// stay bit-identical.
   TxnTracer* tracer = nullptr;
   /// Optional stall watchdog (common/watchdog.h). The drivers register a
   /// heartbeat-carrying scope per driving thread and beat it as steps
@@ -123,7 +94,8 @@ struct RandomRunOptions {
 /// Executes every program of `programs` once (plus retries) under the
 /// allocation, interleaving up to `concurrency` sessions uniformly at
 /// random. Blocked sessions wait for their blocker; deadlocks are broken by
-/// aborting the youngest session, which then retries. The throughput
+/// aborting the youngest session (Engine::Abort with kDeadlockVictim),
+/// which then retries. The throughput
 /// benchmarks measure commits against engine steps and wall time.
 DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
                        const Allocation& alloc,

@@ -9,38 +9,6 @@
 
 namespace mvrob {
 
-const char* EngineEventKindToString(EngineEventKind kind) {
-  switch (kind) {
-    case EngineEventKind::kBegin:
-      return "begin";
-    case EngineEventKind::kRead:
-      return "read";
-    case EngineEventKind::kWrite:
-      return "write";
-    case EngineEventKind::kBlocked:
-      return "blocked";
-    case EngineEventKind::kCommit:
-      return "commit";
-    case EngineEventKind::kAbort:
-      return "abort";
-  }
-  return "unknown";
-}
-
-const char* AbortReasonToString(AbortReason reason) {
-  switch (reason) {
-    case AbortReason::kNone:
-      return "none";
-    case AbortReason::kWriteConflict:
-      return "write_conflict";
-    case AbortReason::kSsiDangerousStructure:
-      return "ssi_dangerous_structure";
-    case AbortReason::kUser:
-      return "user";
-  }
-  return "unknown";
-}
-
 namespace {
 
 StatusOr<AbortReason> ParseAbortReason(std::string_view text) {
@@ -78,18 +46,22 @@ ScheduleRecorder::ScheduleRecorder(size_t capacity)
   buffer_.reserve(std::min<size_t>(capacity_, 1024));
 }
 
-void ScheduleRecorder::Record(const EngineEvent& event) {
+void ScheduleRecorder::OnEvent(const EngineEvent& event) {
+  EngineEvent recorded = event;
+  recorded.attribution = {};
+  std::lock_guard<std::mutex> lock(mu_);
   ++total_;
   if (buffer_.size() < capacity_) {
-    buffer_.push_back(event);
+    buffer_.push_back(recorded);
     return;
   }
   // Ring overwrite: drop the oldest event.
-  buffer_[start_] = event;
+  buffer_[start_] = recorded;
   start_ = (start_ + 1) % capacity_;
 }
 
 std::vector<EngineEvent> ScheduleRecorder::Events() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<EngineEvent> events;
   events.reserve(buffer_.size());
   for (size_t i = 0; i < buffer_.size(); ++i) {
@@ -98,7 +70,18 @@ std::vector<EngineEvent> ScheduleRecorder::Events() const {
   return events;
 }
 
+uint64_t ScheduleRecorder::total_recorded() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_;
+}
+
+uint64_t ScheduleRecorder::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_ > buffer_.size() ? total_ - buffer_.size() : 0;
+}
+
 void ScheduleRecorder::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
   buffer_.clear();
   start_ = 0;
   total_ = 0;

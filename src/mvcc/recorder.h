@@ -1,60 +1,25 @@
 #ifndef MVROB_MVCC_RECORDER_H_
 #define MVROB_MVCC_RECORDER_H_
 
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "mvcc/engine.h"
+#include "mvcc/observer.h"
 #include "mvcc/trace.h"
 
 namespace mvrob {
 
-/// What happened at one engine step. Every event carries the session and
-/// the engine's global step counter at the moment it was recorded, so the
-/// log is a total order over the execution.
-enum class EngineEventKind : uint8_t {
-  kBegin,    // Session started (level, snapshot timestamp).
-  kRead,     // Read with the observed version's writer + commit timestamp.
-  kWrite,    // Buffered write (value recorded for replay).
-  kBlocked,  // Write blocked on a row lock (blocker in version_writer).
-  kCommit,   // Commit with its commit timestamp.
-  kAbort,    // Abort with its reason (engine- or user-initiated).
-};
-
-const char* EngineEventKindToString(EngineEventKind kind);
-const char* AbortReasonToString(AbortReason reason);
-
-/// One recorded engine event. Fields are kind-dependent; unused fields
-/// keep their zero values so events compare bitwise for the round-trip
-/// tests.
-struct EngineEvent {
-  EngineEventKind kind = EngineEventKind::kBegin;
-  SessionId session = kInvalidSessionId;
-  /// Engine step counter when the event was recorded. Begin and blocked
-  /// writes do not advance the counter; they carry the current value.
-  uint64_t step = 0;
-  IsolationLevel level = IsolationLevel::kRC;  // kBegin.
-  ObjectId object = kInvalidObjectId;  // kRead / kWrite / kBlocked.
-  Value value = 0;                     // kRead / kWrite.
-  /// kRead: session that wrote the observed version (kInvalidSessionId =
-  /// initial version). kBlocked: the lock-holding session.
-  SessionId version_writer = kInvalidSessionId;
-  /// kRead: commit timestamp of the observed version. kBegin: the
-  /// session's snapshot timestamp.
-  Timestamp version_ts = 0;
-  bool own_write = false;                    // kRead from the own buffer.
-  AbortReason reason = AbortReason::kNone;   // kAbort.
-  Timestamp commit_ts = 0;                   // kCommit.
-
-  friend bool operator==(const EngineEvent&, const EngineEvent&) = default;
-};
-
-/// A ring-buffered event log for the MVCC engine: attach via
-/// EngineOptions::recorder and the engine records every
-/// begin/read/write/commit/abort (and blocked write) as it executes. The
-/// buffer keeps the most recent `capacity` events; older events are
-/// dropped and counted, so recording long runs is safe at fixed memory.
+/// A ring-buffered log of the engine event stream: attach it to an
+/// engine's observers and it keeps every begin/read/write/commit/abort
+/// (and blocked write) as it executes, in the fields of the recorded
+/// schedule v1 format (abort attributions are not part of it and are
+/// dropped). The buffer keeps the most recent `capacity` events; older
+/// events are dropped and counted, so recording long runs is safe at fixed
+/// memory. Thread-safe: appends from concurrent-engine workers serialize
+/// on one internal mutex.
 ///
 /// Exports:
 ///  - ToText(): a replayable schedule file (see docs/formats.md) that
@@ -62,22 +27,20 @@ struct EngineEvent {
 ///    validator relies on;
 ///  - ToChromeTrace(): a trace_event timeline (chrome://tracing,
 ///    Perfetto) with one track per session, steps as timestamps.
-class ScheduleRecorder {
+class ScheduleRecorder final : public EngineObserver {
  public:
   static constexpr size_t kDefaultCapacity = size_t{1} << 16;
 
   explicit ScheduleRecorder(size_t capacity = kDefaultCapacity);
 
-  void Record(const EngineEvent& event);
+  void OnEvent(const EngineEvent& event) override;
 
   /// Events in recording order (oldest surviving first).
   std::vector<EngineEvent> Events() const;
 
-  uint64_t total_recorded() const { return total_; }
+  uint64_t total_recorded() const;
   /// Events lost to the ring bound. A faithful replay requires 0.
-  uint64_t dropped() const {
-    return total_ > buffer_.size() ? total_ - buffer_.size() : 0;
-  }
+  uint64_t dropped() const;
   size_t capacity() const { return capacity_; }
   void Clear();
 
@@ -92,6 +55,7 @@ class ScheduleRecorder {
 
  private:
   size_t capacity_;
+  mutable std::mutex mu_;
   std::vector<EngineEvent> buffer_;  // Ring; start_ is the oldest index.
   size_t start_ = 0;
   uint64_t total_ = 0;

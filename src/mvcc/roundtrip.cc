@@ -80,8 +80,7 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
     if (concurrent) {
       ConcurrentEngineOptions engine_options;
       engine_options.num_shards = options.engine_shards;
-      engine_options.ssi_mode = options.ssi_mode;
-      engine_options.recorder = &recorder;
+      engine_options.observers = {&recorder};
       // Surfaces the per-shard/GC series for `mvrob validate
       // --engine-shards`; attaching metrics never changes a run.
       engine_options.metrics = options.metrics;
@@ -92,8 +91,7 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
       RunConcurrent(*concurrent_engine, txns, alloc, run_options);
     } else {
       EngineOptions engine_options;
-      engine_options.ssi_mode = options.ssi_mode;
-      engine_options.recorder = &recorder;
+      engine_options.observers = {&recorder};
       engine.emplace(txns.num_objects(), engine_options);
       RunRandom(*engine, txns, alloc, run_options);
     }
@@ -217,8 +215,7 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
     // and reproduce the identical schedule, proving the concurrent
     // execution equivalent to a deterministic interleaving.
     if (concurrent) {
-      Engine oracle(from_engine->txns.num_objects(),
-                    EngineOptions{SsiMode::kExact, nullptr, nullptr});
+      Engine oracle(from_engine->txns.num_objects());
       StatusOr<DriverReport> replay =
           RunExactInterleaving(oracle, from_engine->txns,
                                from_engine->allocation, from_engine->order);

@@ -6,35 +6,8 @@
 
 #include "common/json.h"
 #include "common/metrics.h"
-#include "mvcc/recorder.h"
 
 namespace mvrob {
-
-const char* ConflictTypeToString(ConflictType type) {
-  switch (type) {
-    case ConflictType::kWW:
-      return "ww";
-    case ConflictType::kWR:
-      return "wr";
-    case ConflictType::kRW:
-      return "rw";
-  }
-  return "?";
-}
-
-const char* TraceAbortCauseToString(TraceAbortCause cause) {
-  switch (cause) {
-    case TraceAbortCause::kFirstUpdaterWins:
-      return "first_updater_wins";
-    case TraceAbortCause::kSsiDangerousStructure:
-      return "ssi_dangerous_structure";
-    case TraceAbortCause::kDeadlockVictim:
-      return "deadlock_victim";
-    case TraceAbortCause::kNoWaitLockConflict:
-      return "no_wait_lock_conflict";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -152,59 +125,6 @@ void TxnTracer::BeginAttempt(uint64_t flow_id, SessionId session, TxnId txn,
   if (m_attempts_ != nullptr) m_attempts_->Increment();
 }
 
-void TxnTracer::OnRead(uint64_t flow_id, ObjectId object) {
-  if (flow_id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(flow_id);
-  if (it == live_.end() || it->second.attempts.empty()) return;
-  TxnAttempt& attempt = it->second.attempts.back();
-  if (attempt.ops.size() >= options_.max_ops_per_attempt) {
-    ++attempt.ops_dropped;
-    return;
-  }
-  attempt.ops.push_back(TraceOp{TraceOpKind::kRead, object, kInvalidSessionId});
-}
-
-void TxnTracer::OnWrite(uint64_t flow_id, ObjectId object) {
-  if (flow_id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(flow_id);
-  if (it == live_.end() || it->second.attempts.empty()) return;
-  TxnAttempt& attempt = it->second.attempts.back();
-  if (attempt.ops.size() >= options_.max_ops_per_attempt) {
-    ++attempt.ops_dropped;
-    return;
-  }
-  attempt.ops.push_back(
-      TraceOp{TraceOpKind::kWrite, object, kInvalidSessionId});
-}
-
-void TxnTracer::OnBlocked(uint64_t flow_id, ObjectId object,
-                          SessionId blocker) {
-  if (flow_id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(flow_id);
-  if (it == live_.end() || it->second.attempts.empty()) return;
-  TxnAttempt& attempt = it->second.attempts.back();
-  if (attempt.ops.size() >= options_.max_ops_per_attempt) {
-    ++attempt.ops_dropped;
-    return;
-  }
-  attempt.ops.push_back(TraceOp{TraceOpKind::kBlocked, object, blocker});
-}
-
-void TxnTracer::EndAttempt(uint64_t flow_id, bool committed,
-                           AbortReason reason) {
-  if (flow_id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(flow_id);
-  if (it == live_.end() || it->second.attempts.empty()) return;
-  TxnAttempt& attempt = it->second.attempts.back();
-  attempt.end_us = NowUs();
-  attempt.committed = committed;
-  attempt.abort_reason = reason;
-}
-
 void TxnTracer::EndFlow(uint64_t flow_id, bool committed) {
   if (flow_id == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
@@ -221,9 +141,56 @@ void TxnTracer::EndFlow(uint64_t flow_id, bool committed) {
   }
 }
 
-void TxnTracer::AttributeAbort(SessionId victim,
-                               const ConflictAttribution& attribution) {
+TxnAttempt* TxnTracer::SampledAttemptLocked(SessionId session) {
+  if (session >= sessions_.size() || sessions_[session].flow == 0) {
+    return nullptr;
+  }
+  auto it = live_.find(sessions_[session].flow);
+  if (it == live_.end() || it->second.attempts.empty() ||
+      it->second.attempts.back().session != session) {
+    return nullptr;
+  }
+  return &it->second.attempts.back();
+}
+
+void TxnTracer::OnEvent(const EngineEvent& event) {
+  if (event.kind == EngineEventKind::kBegin) return;  // See BeginAttempt.
   std::lock_guard<std::mutex> lock(mu_);
+  if (event.kind == EngineEventKind::kAbort &&
+      event.attribution.cause != TraceAbortCause::kUser) {
+    AttributeAbortLocked(event.session, event.attribution);
+  }
+  TxnAttempt* attempt = SampledAttemptLocked(event.session);
+  if (attempt == nullptr) return;
+  TraceOp op{TraceOpKind::kRead, event.object, kInvalidSessionId};
+  switch (event.kind) {
+    case EngineEventKind::kBegin:
+      return;
+    case EngineEventKind::kRead:
+      break;
+    case EngineEventKind::kWrite:
+      op.kind = TraceOpKind::kWrite;
+      break;
+    case EngineEventKind::kBlocked:
+      op.kind = TraceOpKind::kBlocked;
+      op.blocker = event.version_writer;
+      break;
+    case EngineEventKind::kCommit:
+    case EngineEventKind::kAbort:
+      attempt->end_us = NowUs();
+      attempt->committed = event.kind == EngineEventKind::kCommit;
+      attempt->abort_reason = event.reason;
+      return;
+  }
+  if (attempt->ops.size() >= options_.max_ops_per_attempt) {
+    ++attempt->ops_dropped;
+    return;
+  }
+  attempt->ops.push_back(op);
+}
+
+void TxnTracer::AttributeAbortLocked(SessionId victim,
+                                     const ConflictAttribution& attribution) {
   ++aborts_attributed_;
   Counter* counter = m_attributed_[static_cast<size_t>(attribution.type)];
   if (counter != nullptr) counter->Increment();
@@ -249,14 +216,12 @@ void TxnTracer::AttributeAbort(SessionId victim,
   key.cause = attribution.cause;
   ++conflicts_[key];
 
-  if (victim_info.flow == 0) return;
-  auto it = live_.find(victim_info.flow);
-  if (it == live_.end() || it->second.attempts.empty()) return;
-  TxnAttempt& attempt = it->second.attempts.back();
-  attempt.attributed = true;
-  attempt.attribution = attribution;
-  attempt.conflicting_txn = key.conflicting;
-  attempt.conflicting_level = conflicting_info.level;
+  TxnAttempt* attempt = SampledAttemptLocked(victim);
+  if (attempt == nullptr) return;
+  attempt->attributed = true;
+  attempt->attribution = attribution;
+  attempt->conflicting_txn = key.conflicting;
+  attempt->conflicting_level = conflicting_info.level;
 }
 
 uint64_t TxnTracer::flows_started() const {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mvcc/engine.h"
+#include "mvcc/observer.h"
 #include "txn/transaction_set.h"
 
 namespace mvrob {
@@ -17,42 +18,6 @@ namespace mvrob {
 class Counter;
 class JsonWriter;
 class MetricsRegistry;
-
-/// Conflict-edge type of an attributed abort, matching the formal edge
-/// vocabulary of the checker (ww/wr/rw of core/conflict.h). A FUW abort is
-/// a ww conflict (two concurrent writers of one object); an SSI abort is
-/// attributed along an rw-antidependency of the dangerous structure.
-enum class ConflictType : uint8_t { kWW, kWR, kRW };
-
-const char* ConflictTypeToString(ConflictType type);
-
-/// Why an attributed abort happened, in mechanism terms (finer than
-/// AbortReason: driver-initiated kUser aborts split into deadlock victims
-/// and no-wait lock conflicts).
-enum class TraceAbortCause : uint8_t {
-  kFirstUpdaterWins,
-  kSsiDangerousStructure,
-  kDeadlockVictim,
-  kNoWaitLockConflict,
-};
-
-const char* TraceAbortCauseToString(TraceAbortCause cause);
-
-/// Causal attribution of one abort (or block): which concurrent session
-/// the victim conflicted with, on which object/version, and how. Producers
-/// (the engines and drivers) fill session-level facts; the tracer resolves
-/// the conflicting session to its program name and level at record time,
-/// so attributions stay meaningful after the session retires.
-struct ConflictAttribution {
-  SessionId conflicting_session = kInvalidSessionId;
-  ObjectId object = kInvalidObjectId;
-  /// Commit timestamp of the conflicting version (FUW) — 0 when the
-  /// conflict is not version-mediated (lock conflicts, SSI edges on
-  /// uncommitted writes).
-  Timestamp version_ts = 0;
-  ConflictType type = ConflictType::kWW;
-  TraceAbortCause cause = TraceAbortCause::kFirstUpdaterWins;
-};
 
 /// One operation of a sampled attempt (bounded per attempt; overflow is
 /// counted, not stored).
@@ -67,7 +32,7 @@ struct TraceOp {
 
 /// One execution attempt (engine session) of a sampled logical
 /// transaction: begin -> ops -> commit/abort, with the abort's causal
-/// attribution when the engine or driver supplied one.
+/// attribution when the abort event carried one.
 struct TxnAttempt {
   SessionId session = kInvalidSessionId;
   /// Dense thread id (MetricsRegistry::CurrentThreadId) of the executing
@@ -138,25 +103,26 @@ struct TxnTracerOptions {
 
 /// A sampled, thread-safe recorder of per-transaction lifecycle spans
 /// with causal abort attribution — the runtime mirror of the checker's
-/// counterexample edges. Drivers own the flow lifecycle (StartFlow /
-/// BeginAttempt / OnRead / OnWrite / OnBlocked / EndAttempt / EndFlow);
-/// engines report attributions at their abort sites (AttributeAbort).
+/// counterexample edges. Two inputs:
+///  - the drivers own the flow lifecycle only: BeginRun per engine,
+///    StartFlow per logical program execution, BeginAttempt per engine
+///    session (retries included), EndFlow when the program commits or
+///    gives up;
+///  - attached to the same engine's observers, the tracer reads every
+///    attempt's ops, its end (commit/abort) and the abort's attribution
+///    from the engine event stream.
 ///
-/// Cost contract, same discipline as the metrics sink: a null TxnTracer*
-/// in EngineOptions / RandomRunOptions disables every call site, and the
-/// tracer only observes — attaching one never changes a run's results.
-/// Unsampled flows (flow id 0) skip all per-op recording; their aborts
-/// still feed the aggregated conflict table, which costs one mutexed map
-/// bump per abort.
+/// Cost contract, same discipline as the metrics sink: a tracer that is
+/// attached nowhere costs nothing, and the tracer only observes —
+/// attaching one never changes a run's results. Unsampled flows (flow id
+/// 0) record no spans; their attributed aborts still feed the aggregated
+/// conflict table, which costs one mutexed map bump per abort.
 ///
-/// All state sits behind one mutex: only sampled flows record ops, and
-/// abort/attribution events are rare relative to engine steps, so the
-/// lock is uncontended in practice and the type is trivially TSan-clean.
-class TxnTracer {
+/// All state sits behind one mutex, held briefly per event, so the type
+/// is trivially TSan-clean on the concurrent engine's worker threads.
+class TxnTracer final : public EngineObserver {
  public:
   explicit TxnTracer(TxnTracerOptions options = {});
-  TxnTracer(const TxnTracer&) = delete;
-  TxnTracer& operator=(const TxnTracer&) = delete;
 
   /// Resets the per-run session table and caches the workload's
   /// transaction/object names for attribution rendering. Drivers call it
@@ -170,28 +136,20 @@ class TxnTracer {
 
   /// Registers `session` as executing `txn` at `level` (all sessions, so
   /// conflicting sessions can be named), and opens an attempt span on the
-  /// flow when `flow_id` != 0.
+  /// flow when `flow_id` != 0. Call once per session, before its first
+  /// operation.
   void BeginAttempt(uint64_t flow_id, SessionId session, TxnId txn,
                     IsolationLevel level);
-
-  /// Per-op records on a sampled flow; no-ops when flow_id == 0.
-  void OnRead(uint64_t flow_id, ObjectId object);
-  void OnWrite(uint64_t flow_id, ObjectId object);
-  void OnBlocked(uint64_t flow_id, ObjectId object, SessionId blocker);
-
-  /// Closes the current attempt span; consumes any pending attribution
-  /// recorded by AttributeAbort since BeginAttempt.
-  void EndAttempt(uint64_t flow_id, bool committed, AbortReason reason);
 
   /// Completes the flow and moves it into the bounded ring of finished
   /// traces. Idempotent; no-op when flow_id == 0.
   void EndFlow(uint64_t flow_id, bool committed);
 
-  /// Records the causal attribution of an abort of `victim` (engine abort
-  /// sites and the drivers' deadlock/no-wait aborts). Always feeds the
-  /// aggregated conflict table; additionally attaches to the victim's
-  /// current attempt when its flow is sampled. Call before EndAttempt.
-  void AttributeAbort(SessionId victim, const ConflictAttribution& attribution);
+  /// The engine event stream: reads, writes and blocked writes append ops
+  /// to the session's sampled attempt; commit and abort close it. An
+  /// abort's attribution (any cause but kUser) always feeds the aggregated
+  /// conflict table and, when the flow is sampled, the attempt span.
+  void OnEvent(const EngineEvent& event) override;
 
   uint64_t sample_every_n() const { return options_.sample_every_n; }
   uint64_t flows_started() const;
@@ -233,6 +191,10 @@ class TxnTracer {
   };
 
   uint64_t NowUs() const;
+  /// The session's open attempt on a sampled flow, or null.
+  TxnAttempt* SampledAttemptLocked(SessionId session);
+  void AttributeAbortLocked(SessionId victim,
+                            const ConflictAttribution& attribution);
   std::string TxnNameLocked(TxnId txn) const;
   std::string ObjectNameLocked(ObjectId object) const;
   void WriteAttemptJsonLocked(const TxnAttempt& attempt,

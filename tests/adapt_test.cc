@@ -89,15 +89,18 @@ TEST(DeriveWeightsTest, SiFloorIsOne) {
 
 TEST(ObserveLevelsTest, ReadsWindowTotalsDeterministically) {
   MetricsRegistry registry;
-  const LiveTelemetry live = MakeLiveTelemetry(registry, /*window=*/60);
+  const LiveTelemetry live(registry, /*window_seconds=*/60);
   const steady_clock::time_point t0 = steady_clock::now();
 
   const size_t si = static_cast<size_t>(IsolationLevel::kSI);
+  auto aborts = [&](TraceAbortCause cause) {
+    return live.per_level[si].aborts[static_cast<size_t>(cause)];
+  };
   live.per_level[si].commits->Add(10, t0);
   live.per_level[si].commits->Add(5, t0 + std::chrono::seconds(1));
-  live.per_level[si].aborts_write_conflict->Add(2, t0);
-  live.per_level[si].aborts_ssi->Add(3, t0);
-  live.per_level[si].aborts_deadlock->Add(4, t0);
+  aborts(TraceAbortCause::kFirstUpdaterWins)->Add(2, t0);
+  aborts(TraceAbortCause::kSsiDangerousStructure)->Add(3, t0);
+  aborts(TraceAbortCause::kDeadlockVictim)->Add(4, t0);
   live.per_level[si].commit_latency_us->Observe(100, t0);
 
   const LevelObservations now =
@@ -274,8 +277,12 @@ TEST(AdaptControllerTest, DecisionsJournalTracerTopConflicts) {
   attribution.object = 0;
   attribution.type = ConflictType::kWW;
   attribution.cause = TraceAbortCause::kFirstUpdaterWins;
-  tracer.AttributeAbort(/*victim=*/1, attribution);
-  tracer.AttributeAbort(/*victim=*/1, attribution);
+  const EngineEvent abort{.kind = EngineEventKind::kAbort,
+                          .session = 1,
+                          .reason = AbortReason::kWriteConflict,
+                          .attribution = attribution};
+  tracer.OnEvent(abort);
+  tracer.OnEvent(abort);
 
   AdaptControllerOptions options;
   options.tracer = &tracer;

@@ -16,6 +16,7 @@
 #include "iso/allocation.h"
 #include "mvcc/driver.h"
 #include "mvcc/engine.h"
+#include "mvcc/observer.h"
 #include "oracle/statistics.h"
 #include "txn/parser.h"
 #include "workloads/registry.h"
@@ -310,7 +311,14 @@ TEST(EngineMetricsTest, CountersMirrorEngineStats) {
   EXPECT_EQ(registry.counter("mvcc.aborts.write_conflict").value(),
             stats.aborts_write_conflict);
   EXPECT_EQ(registry.counter("mvcc.aborts.ssi").value(), stats.aborts_ssi);
-  EXPECT_EQ(registry.counter("mvcc.aborts.user").value(), stats.aborts_user);
+  // Caller aborts split by cause; the deterministic driver's are all
+  // deadlock victims.
+  EXPECT_EQ(registry.counter("mvcc.aborts.deadlock").value() +
+                registry.counter("mvcc.aborts.lock_conflict").value() +
+                registry.counter("mvcc.aborts.user").value(),
+            stats.aborts_user);
+  EXPECT_EQ(registry.counter("mvcc.aborts.deadlock").value(),
+            report.deadlock_victims);
   EXPECT_EQ(registry.counter("mvcc.blocked_steps").value(),
             stats.blocked_steps);
   if (stats.commits > 0) {
@@ -489,12 +497,13 @@ TEST(LiveTelemetryTest, DriverRecordsPerLevelCommits) {
   TransactionSet txns = Tpcc();
   Allocation alloc = Allocation::AllSI(txns.size());
   MetricsRegistry registry;
-  LiveTelemetry live = MakeLiveTelemetry(registry, /*window_seconds=*/60);
+  LiveTelemetry live(registry, /*window_seconds=*/60);
 
-  Engine engine(txns.num_objects());
+  EngineOptions engine_options;
+  engine_options.observers = {&live};
+  Engine engine(txns.num_objects(), engine_options);
   RandomRunOptions options;
   options.seed = 3;
-  options.live = &live;
   DriverReport report = RunRandom(engine, txns, alloc, options);
   ASSERT_GT(report.committed, 0u);
 
@@ -521,9 +530,10 @@ TEST(LiveTelemetryTest, AttachingLiveSeriesDoesNotChangeTheRun) {
   DriverReport baseline = RunRandom(plain, txns, alloc, options);
 
   MetricsRegistry registry;
-  LiveTelemetry live = MakeLiveTelemetry(registry);
-  Engine instrumented(txns.num_objects());
-  options.live = &live;
+  LiveTelemetry live(registry);
+  EngineOptions engine_options;
+  engine_options.observers = {&live};
+  Engine instrumented(txns.num_objects(), engine_options);
   DriverReport observed = RunRandom(instrumented, txns, alloc, options);
 
   EXPECT_EQ(observed.committed, baseline.committed);

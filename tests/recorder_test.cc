@@ -8,6 +8,8 @@
 
 #include <cassert>
 
+#include "mvcc/concurrent_driver.h"
+#include "mvcc/concurrent_engine.h"
 #include "mvcc/driver.h"
 #include "mvcc/roundtrip.h"
 #include "mvcc/trace.h"
@@ -29,7 +31,7 @@ TEST(RecorderTest, CapturesEngineLifecycle) {
   TransactionSet txns = WriteSkewTxns();
   ScheduleRecorder recorder;
   EngineOptions options;
-  options.recorder = &recorder;
+  options.observers = {&recorder};
   Engine engine(txns.num_objects(), options);
 
   ObjectId x = txns.FindObject("x");
@@ -64,7 +66,7 @@ TEST(RecorderTest, RecordsBlockedWritesAndAborts) {
   TransactionSet txns = WriteSkewTxns();
   ScheduleRecorder recorder;
   EngineOptions options;
-  options.recorder = &recorder;
+  options.observers = {&recorder};
   Engine engine(txns.num_objects(), options);
 
   ObjectId x = txns.FindObject("x");
@@ -101,7 +103,7 @@ TEST(RecorderTest, RingBufferKeepsNewestEvents) {
   TransactionSet txns = WriteSkewTxns();
   ScheduleRecorder recorder(/*capacity=*/4);
   EngineOptions options;
-  options.recorder = &recorder;
+  options.observers = {&recorder};
   Engine engine(txns.num_objects(), options);
 
   ObjectId x = txns.FindObject("x");
@@ -125,7 +127,7 @@ TEST(RecorderTest, TextRoundTripIsExact) {
   TransactionSet txns = WriteSkewTxns();
   ScheduleRecorder recorder;
   EngineOptions engine_options;
-  engine_options.recorder = &recorder;
+  engine_options.observers = {&recorder};
   Engine engine(txns.num_objects(), engine_options);
   RandomRunOptions run_options;
   run_options.seed = 7;
@@ -169,7 +171,7 @@ TEST(RecorderTest, ReplayMatchesEngineExport) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     ScheduleRecorder recorder;
     EngineOptions engine_options;
-    engine_options.recorder = &recorder;
+    engine_options.observers = {&recorder};
     Engine engine(txns.num_objects(), engine_options);
     RandomRunOptions run_options;
     run_options.seed = seed;
@@ -194,7 +196,7 @@ TEST(RecorderTest, ChromeTraceHasSessionTracks) {
   TransactionSet txns = WriteSkewTxns();
   ScheduleRecorder recorder;
   EngineOptions engine_options;
-  engine_options.recorder = &recorder;
+  engine_options.observers = {&recorder};
   Engine engine(txns.num_objects(), engine_options);
   SessionId s1 = engine.Begin(IsolationLevel::kSI);
   engine.Read(s1, txns.FindObject("x"));
@@ -294,6 +296,45 @@ TEST(RoundTripPropertyTest, AnomaliesAreObservedAndCertified) {
   EXPECT_GT(report->anomalous_runs, 0u)
       << "write skew under A_SI never produced an anomaly in 60 runs: "
       << report->ToString();
+}
+
+// The recorder observes the many-core engine on its worker threads: the
+// log must still parse back verbatim and rebuild the same committed
+// schedule the engine exports (begins in id order, each session's events
+// in program order).
+TEST(ConcurrentRecordingTest, WorkerEventsRoundTripThroughTheText) {
+  StatusOr<Workload> workload = MakeNamedWorkload("smallbank:c=4");
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const TransactionSet& txns = workload->txns;
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    ScheduleRecorder recorder;
+    ConcurrentEngineOptions engine_options;
+    engine_options.observers = {&recorder};
+    ConcurrentEngine engine(txns.num_objects(), /*num_workers=*/4,
+                            engine_options);
+    RandomRunOptions run_options;
+    run_options.seed = seed;
+    RunConcurrent(engine, txns, Allocation::AllSI(txns.size()), run_options);
+    ASSERT_EQ(recorder.dropped(), 0u);
+
+    StatusOr<std::vector<EngineEvent>> parsed =
+        ParseRecordedSchedule(recorder.ToText(txns), txns);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(*parsed, recorder.Events());
+
+    StatusOr<ExportedRun> from_log =
+        BuildRunFromRecording(recorder.Events(), txns);
+    StatusOr<ExportedRun> from_engine =
+        ExportCommittedSessions(engine.SessionSnapshot(), txns);
+    ASSERT_EQ(from_log.ok(), from_engine.ok()) << seed;
+    if (!from_engine.ok()) continue;
+    StatusOr<Schedule> replayed = from_log->BuildSchedule();
+    StatusOr<Schedule> exported = from_engine->BuildSchedule();
+    ASSERT_EQ(replayed.ok(), exported.ok()) << seed;
+    if (!exported.ok()) continue;
+    EXPECT_EQ(replayed->ToString(/*with_versions=*/true),
+              exported->ToString(/*with_versions=*/true));
+  }
 }
 
 }  // namespace

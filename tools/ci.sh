@@ -563,11 +563,14 @@ rm -f "$FRESH_TEMPLATES"
 
 echo "==== TSan build (MVROB_SANITIZE=thread) ===="
 cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
+# Engine observers (recorder, tracer, live telemetry) run on the
+# concurrent engine's worker threads, so their suites build here too.
 cmake --build build-tsan -j"$JOBS" --target \
-  common_test parallel_differential_test concurrent_engine_test profiler_test
+  common_test parallel_differential_test concurrent_engine_test profiler_test \
+  recorder_test txn_trace_test
 MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent'
+  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|EngineEventStream'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
