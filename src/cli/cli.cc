@@ -1,12 +1,18 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "cli/export.h"
 #include "cli/serve.h"
@@ -54,194 +60,367 @@
 namespace mvrob {
 namespace {
 
-constexpr const char* kUsage = R"(mvrob — mixed isolation-level robustness & allocation
+// The flag table: each flag's name, kind, range, default, help text and the
+// commands it applies to are declared once, in FlagTable(). Parsing, range
+// checks, typed reads and both help screens are driven from it.
 
-usage: mvrob <command> [flags]
+struct CommandSpec {
+  const char* name;
+  const char* summary;
+};
 
-commands:
-  check      decide robustness of an allocation (Algorithm 1)
-  allocate   compute the optimal robust allocation (Algorithm 2)
-  explore    analyze one schedule: dependencies, SeG, allowed-under
-  census     enumerate all interleavings: allowed / anomalous counts
-  templates  per-program allocation for a template workload: predicate
-             reads (key ranges), declared functional constraints, refined
-             template-pair conflicts, promotion, engine certification
-  report     full markdown analysis of a workload
-  simulate   execute the workload on the MVCC engine and report outcomes
-  validate   round-trip recorded engine runs through the formal checker
-  crosscheck validate Algorithm 1 against the exhaustive oracles
-  shell      interactive session: add transactions, watch the optimum move
-  promote    search for reads to promote (SELECT ... FOR UPDATE) so a
-             strictly cheaper allocation becomes robust
-  serve      run the workload continuously and expose live telemetry
-             over HTTP: /metrics (Prometheus), /healthz, /snapshot,
-             /witness, /allocation, /debug/pprof, /debug/stacks
-  version    print build information (git describe, compiler, sanitizer)
-  help       this text
+// The commands that take flags; bit i of FlagSpec::commands is kCommands[i].
+constexpr CommandSpec kCommands[] = {
+    {"check", "decide robustness of an allocation (Algorithm 1)"},
+    {"allocate", "compute the optimal robust allocation (Algorithm 2)"},
+    {"explore", "analyze one schedule: dependencies, SeG, allowed-under"},
+    {"census", "enumerate all interleavings: allowed / anomalous counts"},
+    {"templates", "per-program allocation for a template workload"},
+    {"report", "full markdown analysis of a workload"},
+    {"simulate", "execute the workload on the MVCC engine and report outcomes"},
+    {"validate", "round-trip recorded engine runs through the formal checker"},
+    {"crosscheck", "validate Algorithm 1 against the exhaustive oracles"},
+    {"shell", "interactive session: add transactions, watch the optimum move"},
+    {"promote", "find reads to promote (SELECT ... FOR UPDATE) so a strictly "
+                "cheaper allocation becomes robust"},
+    {"serve", "run the workload continuously with live telemetry over HTTP "
+              "(/metrics, /witness, /allocation, /trace, /debug/pprof, ...)"},
+};
 
-common flags:
-  --txns <text|@file>      transaction DSL ("T1: R[x] W[y]" per line)
-  --workload <spec>        built-in workload instead of --txns, e.g.
-                           tpcc:w=2,d=3  smallbank:c=4  auction  ycsb:a
-                           synthetic:n=10,o=8,w=40,h=30,seed=3
-  --alloc <spec>           allocation "T1=RC T2=SI" (others: --default)
-  --default <RC|SI|SSI>    level for unmentioned transactions (default SI)
-  --schedule <text>        operation order "R1[x] W2[x] C2 C1" (explore)
-  --dot / --timeline       extra renderings (explore)
-  --rcsi                   restrict to {RC, SI} (allocate)
-  --explain                per-transaction obstacles (allocate)
-  --pin "T1=RC ..."        fix transactions to exact levels (allocate)
-  --atmost "T2=SI ..."     per-transaction upper bounds (allocate)
-  --max <n>                interleaving cap (census; default 2000000)
-  --templates <text|@file> template DSL (templates); v2 adds predicate
-                           reads R[key_$lo..$hi] / R[key_*D], `function`
-                           declarations and `constraint` lines
-                           (docs/templates.md)
-  --json                   machine-readable output (check, allocate)
-  --runs <n>               engine executions (simulate: default 20,
-                           validate: default 200)
-  --concurrency <n>        sessions in flight (simulate, validate;
-                           default 4)
-  --engine-threads <n>     OS worker threads for the MVCC engine
-                           (simulate, validate, serve; default 1 = the
-                           deterministic driver, >1 = the sharded
-                           many-core engine; validate then also replays
-                           every concurrent run on the single-threaded
-                           oracle)
-  --engine-shards <n>      key-space shards of the many-core engine
-                           (simulate, validate, serve; default 0 = auto
-                           = max(16, 4*threads); ignored when
-                           --engine-threads is 1)
-  --seed <n>               base RNG seed (simulate, validate; default 0)
-  --witness-json <file|->  structured witness provenance as JSON: every
-                           counterexample edge with its conflict type,
-                           operation pair and Definition 3.1 condition
-                           (check, allocate, shell; '-' = stdout)
-  --witness-dot <file|->   the same witness as a Graphviz digraph
-  --record-schedule <file> replayable schedule file of the last engine
-                           run (simulate)
-  --record-trace <file>    Chrome trace_event timeline of the last
-                           engine run (simulate)
-  --threads <n>            worker threads for robustness checks (check,
-                           allocate, report; default 1, 0 = all cores)
-  --stats-json <file>      write a metrics snapshot (counters, gauges,
-                           histograms) as JSON after the command (under
-                           serve: once, on clean shutdown)
-  --trace-out <file>       write recorded phase spans as a Chrome
-                           trace_event file (chrome://tracing, Perfetto;
-                           under serve: once, on clean shutdown)
-  --trace-sample <n>       sample 1 in <n> logical transactions into
-                           per-attempt spans with causal abort
-                           attribution (simulate, serve). Sampled spans
-                           are merged into --trace-out with retries of
-                           one transaction linked by flow events; serve
-                           also exposes them at /trace
-  --metrics-interval <s>   rewrite the --stats-json / --trace-out files
-                           every <s> seconds while the command runs
-  --log-level <level>      minimum structured-log severity on stderr:
-                           debug, info, warn, error, off (default info;
-                           env MVROB_LOG_LEVEL)
-  --profile-hz <n>         sampling CPU profiler rate, samples per second
-                           of on-CPU time per thread (check, allocate,
-                           simulate, promote, serve; default 0 = off;
-                           serve exposes the live profile at
-                           /debug/pprof and as mvrob_profile_* series)
-  --profile-out <file>     write the aggregate folded-stack profile here
-                           when the command finishes (implies
-                           --profile-hz 97 when the rate is unset;
-                           render with tools/flamegraph.py)
+enum : uint32_t {
+  kCheck = 1 << 0, kAllocate = 1 << 1, kExplore = 1 << 2, kCensus = 1 << 3,
+  kTemplates = 1 << 4, kReport = 1 << 5, kSimulate = 1 << 6,
+  kValidate = 1 << 7, kCrossCheck = 1 << 8, kShell = 1 << 9,
+  kPromote = 1 << 10, kServe = 1 << 11,
+  kGlobal = (1u << std::size(kCommands)) - 1,
+  // The readers of LoadTxns, of LoadAllocation, and the engine runners.
+  kWorkload = kGlobal & ~(kTemplates | kShell),
+  kAllocation = kCheck | kExplore | kCensus | kSimulate | kValidate |
+                kCrossCheck | kServe,
+  kEngine = kSimulate | kValidate | kServe,
+};
 
-promote flags:
-  --budget <n>             promotion budget: at most <n> reads are
-                           promoted (default 8)
-  --target <spec|level>    target mode: find promotions making the
-                           workload robust under this fixed allocation
-                           ("T1=RC T2=SI", unmentioned: --default, which
-                           defaults to RC here; or a bare level name for
-                           a uniform target, e.g. --target RC)
-  --promotion-json <file|-> promotion-plan provenance as JSON
-                           (docs/formats.md, "Promotion plan")
-  --validate-runs <n>      after the search, certify the promoted
-                           workload with <n> recorded engine runs
-                           through the round-trip validator (default 0
-                           = skip; exits 2 on any disagreement)
-  --weight-si <n>          allocation cost of one SI slot (default 1)
-  --weight-ssi <n>         allocation cost of one SSI slot (default 2)
+enum class FlagKind { kSwitch, kString, kInt, kUint64 };
 
-templates flags:
-  --no-constraints         drop the declared functional constraints and
-                           analyze under the distinct-parameter rule
-                           alone (the comparison baseline)
-  --copies <n>             instances per admissible parameter assignment
-                           in the canonical instantiation (default 2)
-  --max-instances <n>      refuse canonical instantiations larger than
-                           this many transactions (default 4096)
-  --promote                search for template reads to promote
-                           (SELECT ... FOR UPDATE across every instance)
-                           so a strictly cheaper per-template allocation
-                           becomes robust
-  (--explain, --rcsi, --witness-json and --validate-runs also apply at
-   template granularity; the witness JSON names which predicate or
-   constraint discharged each template-pair conflict, see docs/formats.md)
+constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr uint64_t kUint64Max = std::numeric_limits<uint64_t>::max();
 
-serve flags:
-  --port <n>               listen port (default 0 = ephemeral)
-  --host <addr>            listen address (default 127.0.0.1)
-  --port-file <file>       write the bound port here after listening
-  --witness-interval <s>   robustness re-check cadence (default 30)
-  --duration <s>           stop after <s> seconds (default 0 = until
-                           SIGINT/SIGTERM)
-  --window <s>             sliding window of the live per-level series
-                           (default 60)
-  --adapt                  adaptive allocation: re-derive SI/SSI cost
-                           weights from the live windowed telemetry,
-                           re-run Algorithm 2 (and the promotion
-                           optimizer under --adapt-budget), and hot-swap
-                           the allocation at the next engine epoch;
-                           every installed allocation passes a fresh
-                           robustness check first
-  --adapt-interval <s>     seconds between controller decisions
-                           (default 30)
-  --adapt-budget <n>       promotion budget per decision (default 0 =
-                           allocation-only decisions)
-)";
-
-// Parsed flag map; flags are --name value pairs except boolean switches.
-struct Flags {
-  std::map<std::string, std::string> values;
-  bool Has(const std::string& name) const { return values.contains(name); }
-  std::string Get(const std::string& name) const {
-    auto it = values.find(name);
-    return it == values.end() ? std::string() : it->second;
+struct FlagSpec {
+  const char* name;  // Without the leading "--".
+  FlagKind kind;
+  const char* value;  // The value's placeholder in the help text.
+  uint64_t min;       // Inclusive range of a numeric value.
+  uint64_t max;
+  std::string def;  // The value when absent; "" = none (a number reads 0).
+  uint32_t commands;
+  std::string help;
+  bool numeric() const {
+    return kind == FlagKind::kInt || kind == FlagKind::kUint64;
   }
 };
 
-bool IsSwitch(const std::string& flag) {
-  return flag == "dot" || flag == "timeline" || flag == "rcsi" ||
-         flag == "explain" || flag == "json" || flag == "adapt" ||
-         flag == "no-constraints" || flag == "promote";
+FlagSpec Switch(const char* name, uint32_t commands, const char* help) {
+  return {name, FlagKind::kSwitch, "", 0, 0, "", commands, help};
 }
-// Note: --pin and --atmost take values and are not switches.
 
-StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
-                           size_t start) {
-  Flags flags;
-  for (size_t i = start; i < args.size(); ++i) {
-    if (!args[i].starts_with("--")) {
+FlagSpec Text(const char* name, const char* value, uint32_t commands,
+              std::string help, std::string def = "") {
+  return {name, FlagKind::kString, value, 0, 0, def, commands, help};
+}
+
+FlagSpec Number(FlagKind kind, const char* name, const char* value,
+                uint64_t min, uint64_t max, std::optional<uint64_t> def,
+                uint32_t commands, const char* help) {
+  return {name, kind, value, min, max, def ? std::to_string(*def) : "",
+          commands, help};
+}
+
+const std::vector<FlagSpec>& FlagTable() {
+  using enum FlagKind;
+  static const std::vector<FlagSpec> table = {
+      Text("txns", "<text|@file>", kWorkload,
+           "transaction DSL, one \"T1: R[x] W[y]\" per line"),
+      Text("workload", "<spec>", kWorkload,
+           "built-in workload instead of --txns, e.g. tpcc:w=2,d=3 "
+           "smallbank:c=4 auction ycsb:a synthetic:n=10,o=8,w=40,h=30,seed=3"),
+      Text("alloc", "<spec>", kAllocation,
+           "allocation \"T1=RC T2=SI\"; others get --default"),
+      Text("default", "<RC|SI|SSI>", kAllocation | kPromote,
+           "level of transactions the allocation leaves out", "SI"),
+      Text("templates", "<text|@file>", kTemplates,
+           "template DSL; v2 adds predicate reads R[key_$lo..$hi] / "
+           "R[key_*D], functions and constraints (docs/templates.md)"),
+      Text("schedule", "<text>", kExplore,
+           "operation order \"R1[x] W2[x] C2 C1\""),
+      Switch("dot", kExplore, "also print SeG(s) as a Graphviz digraph"),
+      Switch("timeline", kExplore, "also print a per-transaction timeline"),
+      Number(kUint64, "max", "<n>", 0, kUint64Max, 2000000, kCensus,
+             "refuse to enumerate more interleavings than this"),
+      Switch("rcsi", kAllocate | kTemplates, "restrict to {RC, SI}"),
+      Switch("explain", kAllocate | kTemplates,
+             "print why no transaction (template) can run lower"),
+      Text("pin", "<spec>", kAllocate, "fix transactions to exact levels"),
+      Text("atmost", "<spec>", kAllocate, "per-transaction upper bounds"),
+      Switch("json", kCheck | kAllocate | kPromote, "machine-readable output"),
+      Text("witness-json", "<file|->", kCheck | kAllocate | kShell | kTemplates,
+           "witness provenance as JSON: each counterexample edge's conflict "
+           "type, operation pair and Definition 3.1 condition ('-' = stdout)"),
+      Text("witness-dot", "<file|->", kCheck | kAllocate | kShell,
+           "the same witness as a Graphviz digraph"),
+      Number(kInt, "threads", "<n>", 0, kIntMax, CheckOptions().num_threads,
+             kCheck | kAllocate | kReport | kValidate | kPromote | kServe,
+             "worker threads for robustness checks, 0 = all cores"),
+      Number(kInt, "runs", "<n>", 0, kIntMax, {}, kSimulate | kValidate,
+             "engine executions (simulate: >= 1, default 20; validate: "
+             "default 200)"),
+      Number(kInt, "concurrency", "<n>", 1, kIntMax, 4, kEngine | kPromote,
+             "sessions in flight"),
+      Number(kUint64, "seed", "<n>", 0, kUint64Max, 0,
+             kEngine | kPromote | kTemplates, "base RNG seed of engine runs"),
+      Number(kInt, "engine-threads", "<n>", 1, 256, 1, kEngine,
+             "MVCC engine worker threads: 1 = the deterministic driver, > 1 "
+             "= the sharded many-core engine"),
+      Number(kInt, "engine-shards", "<n>", 1, 1 << 16, {}, kEngine,
+             "key-space shards of the many-core engine (needs "
+             "--engine-threads > 1; omitted: max(16, 4*threads))"),
+      Text("record-schedule", "<file>", kSimulate,
+           "replayable schedule file of the last engine run"),
+      Text("record-trace", "<file>", kSimulate,
+           "Chrome trace_event timeline of the last engine run"),
+      Number(kUint64, "trace-sample", "<n>", 1, kUint64Max, {},
+             kSimulate | kServe,
+             "trace 1 in <n> logical transactions as per-attempt spans with "
+             "causal abort attribution (into --trace-out; serve: /trace)"),
+      Number(kInt, "budget", "<n>", 0, kIntMax, PromoteOptions().max_promotions,
+             kPromote, "promote at most <n> reads"),
+      Text("target", "<spec|level>", kPromote,
+           "find promotions that make this allocation robust (\"T1=RC "
+           "T2=SI\", others at --default, here RC) or this uniform level"),
+      Text("promotion-json", "<file|->", kPromote,
+           "promotion-plan provenance as JSON (docs/formats.md)"),
+      Number(kInt, "validate-runs", "<n>", 0, kIntMax, 0, kPromote | kTemplates,
+             "certify the result with <n> recorded engine runs, 0 = skip; "
+             "exits 2 on any disagreement"),
+      Number(kInt, "weight-si", "<n>", 0, 1 << 20, PromoteOptions().weight_si,
+             kPromote, "allocation cost of one SI slot"),
+      Number(kInt, "weight-ssi", "<n>", 0, 1 << 20, PromoteOptions().weight_ssi,
+             kPromote, "allocation cost of one SSI slot"),
+      Switch("no-constraints", kTemplates,
+             "drop the declared constraints: the distinct-parameter baseline"),
+      Number(kInt, "copies", "<n>", 1, 8,
+             InstantiationOptions().copies_per_assignment,
+             kTemplates, "instances per admissible parameter assignment"),
+      Number(kInt, "max-instances", "<n>", 1, kIntMax,
+             InstantiationOptions().max_instances, kTemplates,
+             "refuse larger canonical instantiations"),
+      Switch("promote", kTemplates,
+             "search for template reads to promote so a strictly cheaper "
+             "per-template allocation becomes robust"),
+      Number(kInt, "port", "<n>", 0, 65535, 0, kServe,
+             "listen port, 0 = ephemeral"),
+      Text("host", "<addr>", kServe, "listen address", ServeParams().host),
+      Text("port-file", "<file>", kServe,
+           "write the bound port here after listening"),
+      Number(kInt, "witness-interval", "<s>", 1, kIntMax, 30, kServe,
+             "robustness re-check cadence"),
+      Number(kInt, "duration", "<s>", 0, kIntMax, 0, kServe,
+             "stop after <s> seconds, 0 = at SIGINT/SIGTERM"),
+      Number(kInt, "window", "<s>", 1, 3600, 60, kServe,
+             "sliding window of the live per-level series"),
+      Switch("adapt", kServe,
+             "adaptive allocation: re-run Algorithm 2 under cost weights from "
+             "the live telemetry and hot-swap certified allocations"),
+      Number(kInt, "adapt-interval", "<s>", 1, kIntMax, 30, kServe,
+             "seconds between controller decisions"),
+      Number(kInt, "adapt-budget", "<n>", 0, 1 << 20, 0, kServe,
+             "promotion budget per decision, 0 = allocation-only"),
+      Text("log-level", "<level>", kGlobal,
+           "minimum stderr log severity: debug, info, warn, error, off "
+           "(default info; env MVROB_LOG_LEVEL)"),
+      Text("stats-json", "<file>", kGlobal,
+           "write a metrics snapshot as JSON after the command (serve: on "
+           "clean shutdown)"),
+      Text("trace-out", "<file>", kGlobal,
+           "write the phase spans as a Chrome trace_event file (serve: on "
+           "clean shutdown)"),
+      Number(kInt, "metrics-interval", "<s>", 1, kIntMax, {}, kGlobal,
+             "rewrite the --stats-json / --trace-out files every <s> seconds "
+             "while the command runs (not on serve)"),
+      Number(kInt, "profile-hz", "<n>", 0, 1000, 0, kGlobal,
+             "sampling CPU profiler rate per thread, 0 = off"),
+      Text("profile-out", "<file>", kGlobal,
+           StrCat("write the folded-stack profile here at exit (alone: "
+                  "--profile-hz ", ProfilerOptions().hz, ")")),
+  };
+  return table;
+}
+
+const FlagSpec* FindFlag(std::string_view name) {
+  auto it = std::ranges::find(FlagTable(), name, &FlagSpec::name);
+  return it == FlagTable().end() ? nullptr : &*it;
+}
+
+// Strict numeric parse within the flag's range: junk ("12x", "abc"), a
+// stray sign or an out-of-range value is an error, never a coerced number.
+StatusOr<uint64_t> ParseNumber(const FlagSpec& flag, std::string_view text) {
+  StatusOr<uint64_t> parsed = ParseUint64(text);
+  const bool negative = text.starts_with('-') && ParseInt64(text).ok();
+  if (!parsed.ok() && !negative) return parsed.status();
+  if (negative || *parsed < flag.min || *parsed > flag.max) {
+    return Status::InvalidArgument(StrCat("'", text, "' is out of range [",
+                                          flag.min, ", ", flag.max, "]"));
+  }
+  return parsed;
+}
+
+// The flags given to one command. Reading a flag the table does not
+// declare for the command is a bug in this file and aborts.
+struct Flags {
+  uint32_t command;  // The kCommands bit of the command.
+  std::map<std::string, std::string, std::less<>> values;  // As given.
+
+  bool Has(std::string_view name) const {
+    Declared(name);
+    return values.contains(name);
+  }
+  // The given value, else the table default ("" when there is none).
+  const std::string& Get(std::string_view name) const {
+    auto it = values.find(name);
+    return it != values.end() ? it->second : Declared(name).def;
+  }
+  // A numeric flag's value, else its table default, else 0.
+  uint64_t Uint64(std::string_view name) const {
+    const std::string& text = Get(name);
+    return text.empty() ? 0 : *ParseNumber(Declared(name), text);
+  }
+  int Int(std::string_view name) const {
+    return static_cast<int>(Uint64(name));
+  }
+  const FlagSpec& Declared(std::string_view name) const {
+    const FlagSpec* flag = FindFlag(name);
+    if (flag == nullptr || (flag->commands & command) == 0) {
+      std::cerr << "internal error: undeclared read of --" << name << "\n";
+      std::abort();
+    }
+    return *flag;
+  }
+};
+
+// Flag pairs that contradict each other on any command both apply to.
+constexpr std::pair<std::string_view, std::string_view> kConflicts[] = {
+    {"txns", "workload"}, {"rcsi", "pin"}, {"rcsi", "atmost"}};
+
+// Checks every argument against the table: an unknown, inapplicable,
+// repeated or conflicting flag and a missing or malformed value are errors.
+StatusOr<Flags> ParseFlags(int command, const std::vector<std::string>& args) {
+  const char* name = kCommands[command].name;
+  const std::string hint = StrCat(" (mvrob ", name, " --help lists its flags)");
+  Flags flags{1u << command, {}};
+  for (size_t i = 1; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const bool is_flag = arg.starts_with("--");
+    const FlagSpec* flag = is_flag ? FindFlag(arg.substr(2)) : nullptr;
+    std::string error;
+    if (!is_flag) {
+      error = StrCat("unexpected argument '", arg, "'");
+    } else if (flag == nullptr) {
+      error = StrCat("unknown flag ", arg, hint);
+    } else if ((flag->commands & flags.command) == 0) {
+      error = StrCat(arg, " does not apply to ", name, hint);
+    } else if (flags.values.contains(flag->name)) {
+      error = StrCat(arg, " is given more than once");
+    } else if (flag->kind != FlagKind::kSwitch &&
+               (i + 1 == args.size() || args[i + 1].starts_with("--"))) {
+      error = StrCat(arg, " needs a value");
+    } else if (flag->numeric()) {
+      StatusOr<uint64_t> number = ParseNumber(*flag, args[i + 1]);
+      if (!number.ok()) error = StrCat(arg, ": ", number.status().message());
+    }
+    if (!error.empty()) return Status::InvalidArgument(error);
+    flags.values[flag->name] =
+        flag->kind == FlagKind::kSwitch ? "" : args[++i];
+  }
+  for (auto [a, b] : kConflicts) {
+    if (flags.values.contains(a) && flags.values.contains(b)) {
       return Status::InvalidArgument(
-          StrCat("unexpected argument '", args[i], "'"));
+          StrCat("--", a, " and --", b, " cannot be combined on ", name));
     }
-    std::string name = args[i].substr(2);
-    if (IsSwitch(name)) {
-      flags.values[name] = "1";
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      return Status::InvalidArgument(StrCat("--", name, " needs a value"));
-    }
-    flags.values[name] = args[++i];
+  }
+  if (flags.values.contains("engine-shards") &&
+      flags.Int("engine-threads") == 1) {
+    return Status::InvalidArgument(
+        "--engine-shards needs --engine-threads > 1: the deterministic "
+        "engine is not sharded");
   }
   return flags;
+}
+
+// Appends `text` word-wrapped at 78 columns, from column `indent` of the
+// current line (or one space after it); continuation lines start there too.
+void AppendWrapped(std::string& out, std::string_view text, size_t indent) {
+  size_t column = out.size() - (out.rfind('\n') + 1);
+  std::istringstream words{std::string(text)};
+  for (std::string word; words >> word; column += word.size()) {
+    const size_t gap = column < indent ? indent - column : 1;
+    if (column > indent && column + gap + word.size() > 78) {
+      out += "\n" + std::string(indent, ' ');
+      column = indent;
+    } else {
+      out.append(gap, ' ');
+      column += gap;
+    }
+    out += word;
+  }
+  out += '\n';
+}
+
+std::string FlagHelp(const FlagSpec& flag, bool list_commands) {
+  std::string out =
+      StrCat("  --", flag.name, *flag.value != '\0' ? " " : "", flag.value);
+  std::string text = flag.help;
+  const uint64_t top = flag.kind == FlagKind::kInt ? kIntMax : kUint64Max;
+  if (flag.numeric() && flag.max != top) {
+    text += StrCat(", ", flag.min, "..", flag.max);
+  } else if (flag.numeric() && flag.min > 0) {
+    text += StrCat(", >= ", flag.min);
+  }
+  if (!flag.def.empty()) text += StrCat(" (default ", flag.def, ")");
+  if (list_commands) {
+    std::string names;
+    for (size_t i = 0; i < std::size(kCommands); ++i) {
+      if (flag.commands & (1u << i)) names += StrCat(" ", kCommands[i].name);
+    }
+    text += StrCat(" [", flag.commands == kGlobal ? "every command"
+                                                   : names.substr(1), "]");
+  }
+  AppendWrapped(out, text, 27);
+  return out;
+}
+
+// `mvrob help` (command < 0) lists every command and every flag with the
+// commands it applies to; `mvrob <command> --help` that command's flags.
+std::string Help(int command) {
+  std::string out;
+  if (command < 0) {
+    out = "mvrob — mixed isolation-level robustness & allocation\n\n"
+          "usage: mvrob <command> [flags]\n"
+          "       mvrob <command> --help   the command's flags\n\ncommands:\n";
+    for (const CommandSpec& spec : kCommands) {
+      AppendWrapped(out += StrCat("  ", spec.name), spec.summary, 13);
+    }
+    out += "  version    print build information (git describe, compiler, "
+           "sanitizer)\n  help       this text\n\n"
+           "flags, with the commands they apply to:\n";
+  } else {
+    out = StrCat("usage: mvrob ", kCommands[command].name, " [flags]\n\n");
+    AppendWrapped(out, kCommands[command].summary, 2);
+    out += "\nflags:\n";
+  }
+  const uint32_t shown = command < 0 ? kGlobal : 1u << command;
+  for (const FlagSpec& flag : FlagTable()) {
+    if (flag.commands & shown) out += FlagHelp(flag, command < 0);
+  }
+  return out;
 }
 
 // Resolves "@path" arguments to file contents.
@@ -272,14 +451,9 @@ StatusOr<TransactionSet> LoadTxns(const Flags& flags) {
 
 StatusOr<Allocation> LoadAllocation(const Flags& flags,
                                     const TransactionSet& txns) {
-  IsolationLevel fallback = IsolationLevel::kSI;
-  if (flags.Has("default")) {
-    StatusOr<IsolationLevel> parsed =
-        ParseIsolationLevel(flags.Get("default"));
-    if (!parsed.ok()) return parsed.status();
-    fallback = *parsed;
-  }
-  return ParseAllocation(txns, flags.Get("alloc"), fallback);
+  StatusOr<IsolationLevel> fallback = ParseIsolationLevel(flags.Get("default"));
+  if (!fallback.ok()) return fallback.status();
+  return ParseAllocation(txns, flags.Get("alloc"), *fallback);
 }
 
 int Fail(std::ostream& err, const Status& status) {
@@ -287,83 +461,39 @@ int Fail(std::ostream& err, const Status& status) {
   return 1;
 }
 
-// Strictly parsed numeric flags: junk ("12x", "abc"), a stray sign, or an
-// out-of-range value is an error, never a silently coerced number.
-StatusOr<int> IntFlag(const Flags& flags, const std::string& name,
-                      int fallback,
-                      int min = std::numeric_limits<int>::min(),
-                      int max = std::numeric_limits<int>::max()) {
-  if (!flags.Has(name)) return fallback;
-  StatusOr<int> parsed = ParseInt(flags.Get(name), min, max);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument(
-        StrCat("--", name, ": ", parsed.status().message()));
-  }
-  return parsed;
-}
-
-StatusOr<uint64_t> Uint64Flag(const Flags& flags, const std::string& name,
-                              uint64_t fallback) {
-  if (!flags.Has(name)) return fallback;
-  StatusOr<uint64_t> parsed = ParseUint64(flags.Get(name));
-  if (!parsed.ok()) {
-    return Status::InvalidArgument(
-        StrCat("--", name, ": ", parsed.status().message()));
-  }
-  return parsed;
-}
-
-StatusOr<CheckOptions> LoadCheckOptions(const Flags& flags,
-                                        MetricsRegistry* metrics) {
+CheckOptions LoadCheckOptions(const Flags& flags, MetricsRegistry* metrics) {
   CheckOptions options;
   options.metrics = metrics;
-  StatusOr<int> threads = IntFlag(flags, "threads", options.num_threads);
-  if (!threads.ok()) return threads.status();
-  options.num_threads = *threads;
+  options.num_threads = flags.Int("threads");
   return options;
 }
 
-// WriteTextFile / EmitArtifact live in cli/export.h, shared with the
-// periodic exporter and the serve loop.
-
-// Emits the --witness-json / --witness-dot artifacts for a robustness
-// verdict; no-op when neither flag is present.
-Status EmitRobustnessWitness(const Flags& flags, const TransactionSet& txns,
-                             const Allocation& alloc,
-                             const RobustnessResult& result,
-                             std::ostream& out) {
-  if (flags.Has("witness-json")) {
-    Status emitted = EmitArtifact(flags.Get("witness-json"),
-                                  RobustnessWitnessJson(txns, alloc, result),
-                                  out);
-    if (!emitted.ok()) return emitted;
-  }
-  if (flags.Has("witness-dot")) {
-    Status emitted = EmitArtifact(flags.Get("witness-dot"),
-                                  RobustnessWitnessDot(txns, alloc, result),
-                                  out);
-    if (!emitted.ok()) return emitted;
-  }
-  return Status::Ok();
+// --profile-out alone implies the profiler's default rate.
+int ProfileHz(const Flags& flags) {
+  const int hz = flags.Int("profile-hz");
+  return hz == 0 && flags.Has("profile-out") ? ProfilerOptions().hz : hz;
 }
 
-// The allocate/shell counterpart: per-transaction obstacle provenance.
+// Writes the --witness-json / --witness-dot artifacts that were asked for;
+// each renderer runs only when its flag is present.
+Status EmitWitness(const Flags& flags,
+                   const std::function<std::string()>& json,
+                   const std::function<std::string()>& dot, std::ostream& out) {
+  if (flags.Has("witness-json")) {
+    Status emitted = EmitArtifact(flags.Get("witness-json"), json(), out);
+    if (!emitted.ok()) return emitted;
+  }
+  if (!flags.Has("witness-dot")) return Status::Ok();
+  return EmitArtifact(flags.Get("witness-dot"), dot(), out);
+}
+
+// The allocate/shell witness: per-transaction obstacle provenance.
 Status EmitAllocationWitness(const Flags& flags, const TransactionSet& txns,
                              const AllocationExplanation& explanation,
                              std::ostream& out) {
-  if (flags.Has("witness-json")) {
-    Status emitted =
-        EmitArtifact(flags.Get("witness-json"),
-                     AllocationExplanationJson(txns, explanation), out);
-    if (!emitted.ok()) return emitted;
-  }
-  if (flags.Has("witness-dot")) {
-    Status emitted =
-        EmitArtifact(flags.Get("witness-dot"),
-                     AllocationExplanationDot(txns, explanation), out);
-    if (!emitted.ok()) return emitted;
-  }
-  return Status::Ok();
+  return EmitWitness(
+      flags, [&] { return AllocationExplanationJson(txns, explanation); },
+      [&] { return AllocationExplanationDot(txns, explanation); }, out);
 }
 
 // Emits a counterexample chain as a JSON object.
@@ -387,11 +517,12 @@ int CmdCheck(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!txns.ok()) return Fail(err, txns.status());
   StatusOr<Allocation> alloc = LoadAllocation(flags, *txns);
   if (!alloc.ok()) return Fail(err, alloc.status());
-  StatusOr<CheckOptions> options = LoadCheckOptions(flags, metrics);
-  if (!options.ok()) return Fail(err, options.status());
 
-  RobustnessResult result = CheckRobustness(*txns, *alloc, *options);
-  Status witness_out = EmitRobustnessWitness(flags, *txns, *alloc, result, out);
+  RobustnessResult result =
+      CheckRobustness(*txns, *alloc, LoadCheckOptions(flags, metrics));
+  Status witness_out = EmitWitness(
+      flags, [&] { return RobustnessWitnessJson(*txns, *alloc, result); },
+      [&] { return RobustnessWitnessDot(*txns, *alloc, result); }, out);
   if (!witness_out.ok()) return Fail(err, witness_out);
 
   if (flags.Has("json")) {
@@ -461,8 +592,6 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
                 MetricsRegistry* metrics) {
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
-  StatusOr<CheckOptions> options = LoadCheckOptions(flags, metrics);
-  if (!options.ok()) return Fail(err, options.status());
 
   if (flags.Has("pin") || flags.Has("atmost")) {
     StatusOr<AllocationBounds> bounds = LoadBounds(flags, *txns);
@@ -494,7 +623,8 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
     return 0;
   }
 
-  OptimalAllocationResult result = ComputeOptimalAllocation(*txns, *options);
+  OptimalAllocationResult result =
+      ComputeOptimalAllocation(*txns, LoadCheckOptions(flags, metrics));
   if (flags.Has("witness-json") || flags.Has("witness-dot")) {
     StatusOr<AllocationExplanation> explanation =
         ExplainAllocation(*txns, result.allocation);
@@ -571,10 +701,8 @@ int CmdCensus(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (!txns.ok()) return Fail(err, txns.status());
   StatusOr<Allocation> alloc = LoadAllocation(flags, *txns);
   if (!alloc.ok()) return Fail(err, alloc.status());
-  StatusOr<uint64_t> max_interleavings = Uint64Flag(flags, "max", 2'000'000);
-  if (!max_interleavings.ok()) return Fail(err, max_interleavings.status());
   StatusOr<ScheduleCensus> census =
-      ComputeScheduleCensus(*txns, *alloc, *max_interleavings);
+      ComputeScheduleCensus(*txns, *alloc, flags.Uint64("max"));
   if (!census.ok()) return Fail(err, census.status());
   out << "interleavings: " << census->interleavings << "\n";
   out << "allowed:       " << census->allowed << "\n";
@@ -595,14 +723,8 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
       flags.Has("no-constraints") ? parsed->WithoutConstraints() : *parsed;
 
   InstantiationOptions inst;
-  StatusOr<int> copies =
-      IntFlag(flags, "copies", inst.copies_per_assignment, 1, 8);
-  if (!copies.ok()) return Fail(err, copies.status());
-  inst.copies_per_assignment = *copies;
-  StatusOr<int> max_instances =
-      IntFlag(flags, "max-instances", inst.max_instances, 1);
-  if (!max_instances.ok()) return Fail(err, max_instances.status());
-  inst.max_instances = *max_instances;
+  inst.copies_per_assignment = flags.Int("copies");
+  inst.max_instances = flags.Int("max-instances");
 
   TemplateWitnessInputs witness;
   std::optional<TemplateAllocation> levels;
@@ -694,12 +816,8 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
   // the MVCC engine under the computed per-template allocation and
   // round-tripped through the formal checker.
   uint64_t disagreements = 0;
-  StatusOr<int> validate_runs =
-      IntFlag(flags, "validate-runs", 0, 0, std::numeric_limits<int>::max());
-  if (!validate_runs.ok()) return Fail(err, validate_runs.status());
-  if (*validate_runs > 0 && levels.has_value()) {
-    StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
-    if (!seed.ok()) return Fail(err, seed.status());
+  const int validate_runs = flags.Int("validate-runs");
+  if (validate_runs > 0 && levels.has_value()) {
     StatusOr<std::vector<WorldInstantiation>> worlds =
         InstantiateAllWorlds(set, inst);
     if (!worlds.ok()) return Fail(err, worlds.status());
@@ -709,8 +827,8 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
         instance_levels.push_back((*levels)[static_cast<size_t>(tmpl)]);
       }
       RoundTripOptions rt;
-      rt.runs = *validate_runs;
-      rt.seed = *seed;
+      rt.runs = validate_runs;
+      rt.seed = flags.Uint64("seed");
       StatusOr<RoundTripReport> report = ValidateEngineRuns(
           world.instantiation.txns, Allocation(std::move(instance_levels)),
           rt);
@@ -745,8 +863,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
               MetricsRegistry* metrics) {
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
-  StatusOr<CheckOptions> options = LoadCheckOptions(flags, metrics);
-  if (!options.ok()) return Fail(err, options.status());
+  const CheckOptions options = LoadCheckOptions(flags, metrics);
 
   out << "# Workload analysis\n\n";
   out << "## Transactions\n\n```\n" << txns->ToString() << "```\n\n";
@@ -760,7 +877,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
   out << "| A_SI  | " << (si.robust ? "yes" : "no") << " |\n";
   out << "| A_SSI | yes |\n\n";
 
-  OptimalAllocationResult optimal = ComputeOptimalAllocation(*txns, *options);
+  OptimalAllocationResult optimal = ComputeOptimalAllocation(*txns, options);
   out << "## Optimal robust allocation\n\n";
   out << "```\n" << optimal.allocation.ToString(*txns) << "\n```\n\n";
   out << "RC=" << optimal.allocation.CountAt(IsolationLevel::kRC)
@@ -776,7 +893,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
   }
 
   std::vector<CounterexampleChain> spots = FindAllCounterexamples(
-      *txns, Allocation::AllSI(txns->size()), /*limit=*/8, *options);
+      *txns, Allocation::AllSI(txns->size()), /*limit=*/8, options);
   if (!spots.empty()) {
     out << "## Trouble spots under A_SI\n\n";
     for (const CounterexampleChain& chain : spots) {
@@ -815,32 +932,23 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!txns.ok()) return Fail(err, txns.status());
   StatusOr<Allocation> alloc = LoadAllocation(flags, *txns);
   if (!alloc.ok()) return Fail(err, alloc.status());
-  StatusOr<int> runs =
-      IntFlag(flags, "runs", 20, 1, std::numeric_limits<int>::max());
-  if (!runs.ok()) return Fail(err, runs.status());
-  StatusOr<int> concurrency =
-      IntFlag(flags, "concurrency", 4, 1, std::numeric_limits<int>::max());
-  if (!concurrency.ok()) return Fail(err, concurrency.status());
-  StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
-  if (!seed.ok()) return Fail(err, seed.status());
-  StatusOr<int> engine_threads =
-      IntFlag(flags, "engine-threads", 1, 1, 256);
-  if (!engine_threads.ok()) return Fail(err, engine_threads.status());
-  StatusOr<int> engine_shards =
-      IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
-  if (!engine_shards.ok()) return Fail(err, engine_shards.status());
-  const bool concurrent = *engine_threads > 1;
+  const int runs = flags.Has("runs") ? flags.Int("runs") : 20;
+  if (runs == 0) {
+    return Fail(err, Status::InvalidArgument("--runs: simulate needs >= 1"));
+  }
+  const int engine_threads = flags.Int("engine-threads");
+  const bool concurrent = engine_threads > 1;
 
-  out << "simulating " << *runs << " executions of " << txns->size()
+  out << "simulating " << runs << " executions of " << txns->size()
       << " transactions under " << alloc->ToString(*txns);
-  if (concurrent) out << " (" << *engine_threads << " engine threads)";
+  if (concurrent) out << " (" << engine_threads << " engine threads)";
   out << "\n";
   // --record-schedule / --record-trace export the *last* run; the recorder
   // is cleared between runs so the files cover one complete execution.
-  const bool recording =
-      flags.Has("record-schedule") || flags.Has("record-trace");
   std::optional<ScheduleRecorder> recorder;
-  if (recording) recorder.emplace();
+  if (flags.Has("record-schedule") || flags.Has("record-trace")) {
+    recorder.emplace();
+  }
   // One observer list serves either engine.
   std::vector<EngineObserver*> observers;
   if (recorder.has_value()) observers.push_back(&*recorder);
@@ -850,11 +958,11 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   uint64_t ssi = 0;
   uint64_t serializable = 0;
   std::map<std::string, int> anomaly_counts;
-  for (int r = 0; r < *runs; ++r) {
+  for (int r = 0; r < runs; ++r) {
     if (recorder.has_value()) recorder->Clear();
     RandomRunOptions options;
-    options.concurrency = *concurrency;
-    options.seed = *seed + static_cast<uint64_t>(r);
+    options.concurrency = flags.Int("concurrency");
+    options.seed = flags.Uint64("seed") + static_cast<uint64_t>(r);
     options.metrics = metrics;
     options.tracer = tracer;
     // Engines live in optionals so one loop body serves both paths.
@@ -863,13 +971,13 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
     DriverReport report;
     if (concurrent) {
       ConcurrentEngineOptions engine_options;
-      engine_options.num_shards = static_cast<size_t>(*engine_shards);
+      engine_options.num_shards = flags.Uint64("engine-shards");
       engine_options.metrics = metrics;
       engine_options.observers = observers;
       concurrent_engine.emplace(txns->num_objects(),
-                                static_cast<size_t>(*engine_threads),
+                                static_cast<size_t>(engine_threads),
                                 engine_options);
-      options.engine_threads = *engine_threads;
+      options.engine_threads = engine_threads;
       report = RunConcurrent(*concurrent_engine, *txns, *alloc, options);
     } else {
       EngineOptions engine_options;
@@ -901,7 +1009,7 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   }
   out << "commits: " << commits << ", first-updater aborts: " << fuw
       << ", SSI aborts: " << ssi << "\n";
-  out << "serializable runs: " << serializable << "/" << *runs << "\n";
+  out << "serializable runs: " << serializable << "/" << runs << "\n";
   for (const auto& [kind, count] : anomaly_counts) {
     out << "anomaly '" << kind << "': " << count << " occurrence(s)\n";
   }
@@ -940,30 +1048,14 @@ int CmdValidate(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!txns.ok()) return Fail(err, txns.status());
   StatusOr<Allocation> alloc = LoadAllocation(flags, *txns);
   if (!alloc.ok()) return Fail(err, alloc.status());
-  StatusOr<CheckOptions> check = LoadCheckOptions(flags, metrics);
-  if (!check.ok()) return Fail(err, check.status());
-  StatusOr<int> runs =
-      IntFlag(flags, "runs", 200, 0, std::numeric_limits<int>::max());
-  if (!runs.ok()) return Fail(err, runs.status());
-  StatusOr<int> concurrency =
-      IntFlag(flags, "concurrency", 4, 1, std::numeric_limits<int>::max());
-  if (!concurrency.ok()) return Fail(err, concurrency.status());
-  StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
-  if (!seed.ok()) return Fail(err, seed.status());
-  StatusOr<int> engine_threads =
-      IntFlag(flags, "engine-threads", 1, 1, 256);
-  if (!engine_threads.ok()) return Fail(err, engine_threads.status());
-  StatusOr<int> engine_shards =
-      IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
-  if (!engine_shards.ok()) return Fail(err, engine_shards.status());
 
   RoundTripOptions options;
-  options.runs = *runs;
-  options.concurrency = *concurrency;
-  options.seed = *seed;
-  options.engine_threads = *engine_threads;
-  options.engine_shards = static_cast<size_t>(*engine_shards);
-  options.check = *check;
+  options.runs = flags.Has("runs") ? flags.Int("runs") : 200;
+  options.concurrency = flags.Int("concurrency");
+  options.seed = flags.Uint64("seed");
+  options.engine_threads = flags.Int("engine-threads");
+  options.engine_shards = flags.Uint64("engine-shards");
+  options.check = LoadCheckOptions(flags, metrics);
   options.metrics = metrics;
   StatusOr<RoundTripReport> report =
       ValidateEngineRuns(*txns, *alloc, options);
@@ -1076,78 +1168,27 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   ServeParams params;
   params.txns = std::move(*txns);
   params.alloc = std::move(*alloc);
-  params.host = flags.Has("host") ? flags.Get("host") : params.host;
+  params.host = flags.Get("host");
+  params.port = flags.Int("port");
   params.port_file = flags.Get("port-file");
-
-  StatusOr<int> port = IntFlag(flags, "port", 0, 0, 65535);
-  if (!port.ok()) return Fail(err, port.status());
-  params.port = *port;
-  StatusOr<int> witness_interval =
-      IntFlag(flags, "witness-interval", 30, 1,
-              std::numeric_limits<int>::max());
-  if (!witness_interval.ok()) return Fail(err, witness_interval.status());
-  params.witness_interval_s = *witness_interval;
-  StatusOr<int> duration =
-      IntFlag(flags, "duration", 0, 0, std::numeric_limits<int>::max());
-  if (!duration.ok()) return Fail(err, duration.status());
-  params.duration_s = *duration;
-  StatusOr<int> window = IntFlag(flags, "window", 60, 1, 3600);
-  if (!window.ok()) return Fail(err, window.status());
-  params.window_s = static_cast<uint32_t>(*window);
-  StatusOr<int> concurrency =
-      IntFlag(flags, "concurrency", 4, 1, std::numeric_limits<int>::max());
-  if (!concurrency.ok()) return Fail(err, concurrency.status());
-  params.concurrency = *concurrency;
-  StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
-  if (!seed.ok()) return Fail(err, seed.status());
-  params.seed = *seed;
-  StatusOr<int> threads = IntFlag(flags, "threads", 1);
-  if (!threads.ok()) return Fail(err, threads.status());
-  params.threads = *threads;
-  StatusOr<int> engine_threads =
-      IntFlag(flags, "engine-threads", 1, 1, 256);
-  if (!engine_threads.ok()) return Fail(err, engine_threads.status());
-  params.engine_threads = *engine_threads;
-  StatusOr<int> engine_shards =
-      IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
-  if (!engine_shards.ok()) return Fail(err, engine_shards.status());
-  params.engine_shards = static_cast<size_t>(*engine_shards);
-
+  params.witness_interval_s = flags.Int("witness-interval");
+  params.duration_s = flags.Int("duration");
+  params.window_s = static_cast<uint32_t>(flags.Int("window"));
+  params.concurrency = flags.Int("concurrency");
+  params.seed = flags.Uint64("seed");
+  params.threads = flags.Int("threads");
+  params.engine_threads = flags.Int("engine-threads");
+  params.engine_shards = flags.Uint64("engine-shards");
   params.adapt = flags.Has("adapt");
-  StatusOr<int> adapt_interval =
-      IntFlag(flags, "adapt-interval", 30, 1,
-              std::numeric_limits<int>::max());
-  if (!adapt_interval.ok()) return Fail(err, adapt_interval.status());
-  params.adapt_interval_s = *adapt_interval;
-  StatusOr<int> adapt_budget =
-      IntFlag(flags, "adapt-budget", 0, 0, 1 << 20);
-  if (!adapt_budget.ok()) return Fail(err, adapt_budget.status());
-  params.adapt_budget = *adapt_budget;
-
-  StatusOr<uint64_t> trace_sample = Uint64Flag(flags, "trace-sample", 0);
-  if (!trace_sample.ok()) return Fail(err, trace_sample.status());
-  if (flags.Has("trace-sample") && *trace_sample == 0) {
-    return Fail(err,
-                Status::InvalidArgument("--trace-sample must be >= 1"));
-  }
-  params.trace_sample = *trace_sample;
-  // serve owns its export files: they are written once on clean shutdown
-  // (with the sampled txn spans merged into the trace), not by the
-  // end-of-command exporter in RunCli.
+  params.adapt_interval_s = flags.Int("adapt-interval");
+  params.adapt_budget = flags.Int("adapt-budget");
+  params.trace_sample = flags.Uint64("trace-sample");
+  // serve owns its export files and profiler: it writes the files once, on
+  // clean shutdown, with the sampled txn spans merged into the trace.
   params.stats_json = flags.Get("stats-json");
   params.trace_out = flags.Get("trace-out");
-
-  // serve also owns the profiler lifecycle (started with the server,
-  // exported on clean shutdown); --profile-out alone implies the default
-  // sampling rate, mirroring the non-serve commands.
-  StatusOr<int> profile_hz = IntFlag(flags, "profile-hz", 0, 0, 1000);
-  if (!profile_hz.ok()) return Fail(err, profile_hz.status());
-  params.profile_hz = *profile_hz;
+  params.profile_hz = ProfileHz(flags);
   params.profile_out = flags.Get("profile-out");
-  if (params.profile_hz == 0 && !params.profile_out.empty()) {
-    params.profile_hz = ProfilerOptions().hz;
-  }
-
   return RunServe(std::move(params), out, err);
 }
 
@@ -1199,22 +1240,11 @@ int CmdPromote(const Flags& flags, std::ostream& out, std::ostream& err,
                MetricsRegistry* metrics) {
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
-  StatusOr<CheckOptions> check = LoadCheckOptions(flags, metrics);
-  if (!check.ok()) return Fail(err, check.status());
   PromoteOptions options;
-  options.check = *check;
-  StatusOr<int> budget = IntFlag(flags, "budget", options.max_promotions, 0,
-                                 std::numeric_limits<int>::max());
-  if (!budget.ok()) return Fail(err, budget.status());
-  options.max_promotions = *budget;
-  StatusOr<int> weight_si =
-      IntFlag(flags, "weight-si", options.weight_si, 0, 1 << 20);
-  if (!weight_si.ok()) return Fail(err, weight_si.status());
-  options.weight_si = *weight_si;
-  StatusOr<int> weight_ssi =
-      IntFlag(flags, "weight-ssi", options.weight_ssi, 0, 1 << 20);
-  if (!weight_ssi.ok()) return Fail(err, weight_ssi.status());
-  options.weight_ssi = *weight_ssi;
+  options.check = LoadCheckOptions(flags, metrics);
+  options.max_promotions = flags.Int("budget");
+  options.weight_si = flags.Int("weight-si");
+  options.weight_ssi = flags.Int("weight-ssi");
 
   StatusOr<PromotionPlan> plan = [&]() -> StatusOr<PromotionPlan> {
     if (!flags.Has("target")) return OptimizePromotions(*txns, options);
@@ -1226,14 +1256,10 @@ int CmdPromote(const Flags& flags, std::ostream& out, std::ostream& err,
       return PromoteForTarget(*txns, Allocation(txns->size(), *uniform),
                               options);
     }
-    IsolationLevel fallback = IsolationLevel::kRC;
-    if (flags.Has("default")) {
-      StatusOr<IsolationLevel> parsed =
-          ParseIsolationLevel(flags.Get("default"));
-      if (!parsed.ok()) return parsed.status();
-      fallback = *parsed;
-    }
-    StatusOr<Allocation> target = ParseAllocation(*txns, spec, fallback);
+    StatusOr<IsolationLevel> fallback = ParseIsolationLevel(
+        flags.Has("default") ? flags.Get("default") : "RC");
+    if (!fallback.ok()) return fallback.status();
+    StatusOr<Allocation> target = ParseAllocation(*txns, spec, *fallback);
     if (!target.ok()) return target.status();
     return PromoteForTarget(*txns, *target, options);
   }();
@@ -1244,28 +1270,18 @@ int CmdPromote(const Flags& flags, std::ostream& out, std::ostream& err,
   // engine + formal machinery without a single disagreement, and the
   // promoted allocation being robust means zero anomalous runs.
   std::optional<RoundTripReport> validation;
-  StatusOr<int> validate_runs =
-      IntFlag(flags, "validate-runs", 0, 0, std::numeric_limits<int>::max());
-  if (!validate_runs.ok()) return Fail(err, validate_runs.status());
-  if (*validate_runs > 0) {
-    StatusOr<int> concurrency =
-        IntFlag(flags, "concurrency", 4, 1, std::numeric_limits<int>::max());
-    if (!concurrency.ok()) return Fail(err, concurrency.status());
-    StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
-    if (!seed.ok()) return Fail(err, seed.status());
+  std::string validation_json;
+  if (flags.Int("validate-runs") > 0) {
     RoundTripOptions rt;
-    rt.runs = *validate_runs;
-    rt.concurrency = *concurrency;
-    rt.seed = *seed;
-    rt.check = *check;
+    rt.runs = flags.Int("validate-runs");
+    rt.concurrency = flags.Int("concurrency");
+    rt.seed = flags.Uint64("seed");
+    rt.check = options.check;
     rt.metrics = metrics;
     StatusOr<RoundTripReport> report =
         ValidateEngineRuns(plan->promoted, plan->after_allocation, rt);
     if (!report.ok()) return Fail(err, report.status());
     validation = *std::move(report);
-  }
-  std::string validation_json;
-  if (validation.has_value()) {
     JsonWriter json;
     json.BeginObject();
     json.Key("runs");
@@ -1306,25 +1322,23 @@ int CmdPromote(const Flags& flags, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-int Dispatch(const std::string& command, const Flags& flags, std::istream& in,
-             std::ostream& out, std::ostream& err, MetricsRegistry* metrics,
-             TxnTracer* tracer) {
-  if (command == "check") return CmdCheck(flags, out, err, metrics);
-  if (command == "allocate") return CmdAllocate(flags, out, err, metrics);
-  if (command == "explore") return CmdExplore(flags, out, err);
-  if (command == "census") return CmdCensus(flags, out, err);
-  if (command == "templates") return CmdTemplates(flags, out, err);
-  if (command == "report") return CmdReport(flags, out, err, metrics);
-  if (command == "crosscheck") return CmdCrossCheck(flags, out, err);
-  if (command == "simulate") {
-    return CmdSimulate(flags, out, err, metrics, tracer);
+int Dispatch(const Flags& flags, std::istream& in, std::ostream& out,
+             std::ostream& err, MetricsRegistry* metrics, TxnTracer* tracer) {
+  switch (flags.command) {
+    case kCheck: return CmdCheck(flags, out, err, metrics);
+    case kAllocate: return CmdAllocate(flags, out, err, metrics);
+    case kExplore: return CmdExplore(flags, out, err);
+    case kCensus: return CmdCensus(flags, out, err);
+    case kTemplates: return CmdTemplates(flags, out, err);
+    case kReport: return CmdReport(flags, out, err, metrics);
+    case kSimulate: return CmdSimulate(flags, out, err, metrics, tracer);
+    case kValidate: return CmdValidate(flags, out, err, metrics);
+    case kCrossCheck: return CmdCrossCheck(flags, out, err);
+    case kShell: return CmdShell(flags, in, out, err, metrics);
+    case kPromote: return CmdPromote(flags, out, err, metrics);
+    case kServe: return CmdServe(flags, out, err);
   }
-  if (command == "validate") return CmdValidate(flags, out, err, metrics);
-  if (command == "shell") return CmdShell(flags, in, out, err, metrics);
-  if (command == "promote") return CmdPromote(flags, out, err, metrics);
-  if (command == "serve") return CmdServe(flags, out, err);
-  err << "error: unknown command '" << command << "'\n" << kUsage;
-  return 1;
+  return 1;  // Not reached: ParseFlags builds Flags for kCommands only.
 }
 
 }  // namespace
@@ -1337,19 +1351,28 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
 int RunCli(const std::vector<std::string>& args, std::istream& in,
            std::ostream& out, std::ostream& err) {
   if (args.empty() || args[0] == "help" || args[0] == "--help") {
-    out << kUsage;
+    out << Help(-1);
     return args.empty() ? 1 : 0;
   }
   if (args[0] == "version" || args[0] == "--version") {
     out << BuildInfoText();
     return 0;
   }
+  const auto* spec = std::ranges::find(kCommands, args[0], &CommandSpec::name);
+  if (spec == std::end(kCommands)) {
+    err << "error: unknown command '" << args[0] << "'\n" << Help(-1);
+    return 1;
+  }
+  const int command = static_cast<int>(spec - kCommands);
+  if (std::ranges::find(args, "--help") != args.end()) {
+    out << Help(command);
+    return 0;
+  }
   // Register the invoking thread for the profiler/watchdog/crash stack
-  // machinery and arm the crash flight recorder: any fatal signal from
-  // here on writes mvrob.crash.<pid>.txt next to the working directory.
+  // machinery and arm the crash flight recorder (mvrob.crash.<pid>.txt).
   ProfiledThreadScope main_scope("main");
   InstallCrashRecorder(CrashRecorderOptions{});
-  StatusOr<Flags> flags = ParseFlags(args, 1);
+  StatusOr<Flags> flags = ParseFlags(command, args);
   if (!flags.ok()) return Fail(err, flags.status());
 
   // --log-level overrides MVROB_LOG_LEVEL for this invocation.
@@ -1362,19 +1385,13 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     GlobalLogger().set_min_level(*level);
   }
 
-  const std::string& command = args[0];
-
   // --stats-json / --trace-out turn on metrics collection for the whole
-  // command; without them no registry exists and every instrumentation
-  // site stays disabled (null sink). serve owns its own registry and
-  // export files (written on clean shutdown, with sampled txn spans
-  // merged into the trace) — an outer registry here would clobber them
-  // with a near-empty snapshot after RunServe returns.
-  const bool serve_owns_exports = command == "serve";
+  // command (without them every instrumentation site is a null sink).
+  // serve owns its registry, export files and profiler (CmdServe).
+  const bool serve = flags->command == kServe;
   std::optional<MetricsRegistry> registry;
   MetricsRegistry* metrics = nullptr;
-  if (!serve_owns_exports &&
-      (flags->Has("stats-json") || flags->Has("trace-out"))) {
+  if (!serve && (flags->Has("stats-json") || flags->Has("trace-out"))) {
     registry.emplace();
     metrics = &*registry;
   }
@@ -1382,15 +1399,9 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   // --trace-sample attaches a txn tracer to the simulate engines; serve
   // builds its own from ServeParams::trace_sample.
   std::optional<TxnTracer> tracer;
-  if (!serve_owns_exports && flags->Has("trace-sample")) {
-    StatusOr<uint64_t> trace_sample = Uint64Flag(*flags, "trace-sample", 0);
-    if (!trace_sample.ok()) return Fail(err, trace_sample.status());
-    if (*trace_sample == 0) {
-      return Fail(err,
-                  Status::InvalidArgument("--trace-sample must be >= 1"));
-    }
+  if (flags->command == kSimulate && flags->Has("trace-sample")) {
     TxnTracerOptions tracer_options;
-    tracer_options.sample_every_n = *trace_sample;
+    tracer_options.sample_every_n = flags->Uint64("trace-sample");
     tracer_options.metrics = metrics;
     tracer.emplace(tracer_options);
   }
@@ -1400,9 +1411,6 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   // command runs (e.g. a long report), so progress can be tailed.
   std::optional<PeriodicMetricsExporter> exporter;
   if (flags->Has("metrics-interval")) {
-    StatusOr<int> interval = IntFlag(*flags, "metrics-interval", 0, 1,
-                                     std::numeric_limits<int>::max());
-    if (!interval.ok()) return Fail(err, interval.status());
     if (metrics == nullptr) {
       return Fail(err, Status::InvalidArgument(
                            "--metrics-interval requires --stats-json or "
@@ -1411,34 +1419,25 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     }
     exporter.emplace(*registry, flags->Get("stats-json"),
                      flags->Get("trace-out"),
-                     std::chrono::seconds(*interval));
+                     std::chrono::seconds(flags->Int("metrics-interval")));
   }
 
-  // --profile-hz / --profile-out: sample the whole command (serve starts
-  // its own profiler with the server instead). --profile-out alone
-  // implies the default rate.
-  StatusOr<int> profile_hz = IntFlag(*flags, "profile-hz", 0, 0, 1000);
-  if (!profile_hz.ok()) return Fail(err, profile_hz.status());
-  const std::string profile_out = flags->Get("profile-out");
-  int effective_hz = *profile_hz;
-  if (effective_hz == 0 && !profile_out.empty()) {
-    effective_hz = ProfilerOptions().hz;
-  }
-  bool profiling = false;
-  if (!serve_owns_exports && effective_hz > 0) {
+  // --profile-hz / --profile-out: sample the whole command.
+  const std::string& profile_out = flags->Get("profile-out");
+  const bool profiling = !serve && ProfileHz(*flags) > 0;
+  if (profiling) {
     ProfilerOptions profile_options;
-    profile_options.hz = effective_hz;
+    profile_options.hz = ProfileHz(*flags);
     profile_options.metrics = metrics;
     Status started = Profiler::Start(profile_options);
     if (!started.ok()) return Fail(err, started);
-    profiling = true;
   }
 
   int code;
   {
     // Top-level span covering the entire command.
-    PhaseTimer timer(metrics, StrCat("cli.", command));
-    code = Dispatch(command, *flags, in, out, err, metrics, tracer_ptr);
+    PhaseTimer timer(metrics, StrCat("cli.", args[0]));
+    code = Dispatch(*flags, in, out, err, metrics, tracer_ptr);
   }
   if (profiling) {
     Profiler::Stop();

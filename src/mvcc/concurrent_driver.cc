@@ -129,7 +129,7 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
           return;
         }
         if (lock_conflict) {
-          ++local.deadlock_victims;
+          ++local.lock_conflicts;
           std::this_thread::yield();
           continue;
         }
@@ -158,7 +158,7 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
     report.aborted_programs += local.aborted_programs;
     report.attempts += local.attempts;
     report.blocked_steps += local.blocked_steps;
-    report.deadlock_victims += local.deadlock_victims;
+    report.lock_conflicts += local.lock_conflicts;
   };
 
   std::vector<std::thread> threads;
@@ -173,7 +173,7 @@ DriverReport RunConcurrent(ConcurrentEngine& engine,
     metrics->counter("driver.committed").Add(report.committed);
     metrics->counter("driver.attempts").Add(report.attempts);
     metrics->counter("driver.aborted_programs").Add(report.aborted_programs);
-    metrics->counter("driver.deadlock_victims").Add(report.deadlock_victims);
+    metrics->counter("driver.lock_conflicts").Add(report.lock_conflicts);
     metrics->counter("driver.blocked_steps").Add(report.blocked_steps);
   }
   return report;

@@ -23,7 +23,7 @@ namespace mvrob {
 ///    attempt and retries after a yield instead of waiting, so there are
 ///    no cross-thread wait cycles to detect. The abort carries cause
 ///    kNoWaitLockConflict (the lock_conflict abort series); it is counted
-///    in DriverReport::deadlock_victims and does not consume the program's
+///    in DriverReport::lock_conflicts and does not consume the program's
 ///    retry budget — only engine-initiated aborts (first-updater-wins,
 ///    SSI) do.
 ///

@@ -20,7 +20,10 @@ struct DriverReport {
   uint64_t aborted_programs = 0;  // Programs that exhausted their retries.
   uint64_t attempts = 0;          // Sessions started (retries included).
   uint64_t blocked_steps = 0;
+  /// Wait-cycle victims of the deterministic driver.
   uint64_t deadlock_victims = 0;
+  /// No-wait lock-conflict kills of the concurrent driver.
+  uint64_t lock_conflicts = 0;
   /// For exact runs: the session executing each program transaction.
   std::vector<SessionId> session_of_program;
 };

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -263,6 +265,7 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
       {{"simulate", "--txns", kWriteSkew, "--seed", "18446744073709551616"},
        "--seed"},
       {{"check", "--txns", kWriteSkew, "--threads", "2x"}, "--threads"},
+      {{"check", "--txns", kWriteSkew, "--threads", "-5"}, "--threads"},
       {{"check", "--workload", "synthetic:n=12x"}, "n=12x"},
       {{"check", "--workload", "tpcc:w="}, "empty"},
   };
@@ -272,6 +275,138 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
     EXPECT_NE(result.err.find(c.needle), std::string::npos)
         << Join(c.args, " ") << " stderr: " << result.err;
   }
+}
+
+// The flags each command reads, and the global ones every command takes.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"check", {"txns", "workload", "alloc", "default", "json", "witness-json",
+               "witness-dot", "threads"}},
+    {"allocate", {"txns", "workload", "rcsi", "explain", "pin", "atmost",
+                  "json", "witness-json", "witness-dot", "threads"}},
+    {"explore", {"txns", "workload", "alloc", "default", "schedule", "dot",
+                 "timeline"}},
+    {"census", {"txns", "workload", "alloc", "default", "max"}},
+    {"templates", {"templates", "rcsi", "explain", "witness-json", "seed",
+                   "validate-runs", "no-constraints", "copies",
+                   "max-instances", "promote"}},
+    {"report", {"txns", "workload", "threads"}},
+    {"simulate", {"txns", "workload", "alloc", "default", "runs",
+                  "concurrency", "seed", "engine-threads", "engine-shards",
+                  "record-schedule", "record-trace", "trace-sample"}},
+    {"validate", {"txns", "workload", "alloc", "default", "threads", "runs",
+                  "concurrency", "seed", "engine-threads", "engine-shards"}},
+    {"crosscheck", {"txns", "workload", "alloc", "default"}},
+    {"shell", {"witness-json", "witness-dot"}},
+    {"promote", {"txns", "workload", "default", "threads", "json",
+                 "concurrency", "seed", "budget", "target", "promotion-json",
+                 "validate-runs", "weight-si", "weight-ssi"}},
+    {"serve", {"txns", "workload", "alloc", "default", "threads",
+               "concurrency", "seed", "engine-threads", "engine-shards",
+               "trace-sample", "port", "host", "port-file",
+               "witness-interval", "duration", "window", "adapt",
+               "adapt-interval", "adapt-budget"}},
+};
+
+const std::set<std::string> kGlobalFlags = {
+    "log-level", "stats-json", "trace-out", "metrics-interval", "profile-hz",
+    "profile-out"};
+
+// The flags a help screen lists: the "  --name" rows.
+std::set<std::string> ListedFlags(const std::string& help) {
+  std::set<std::string> listed;
+  std::istringstream lines(help);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with("  --")) continue;
+    listed.insert(line.substr(4, line.find(' ', 4) - 4));
+  }
+  return listed;
+}
+
+TEST(CliTest, EveryCommandChecksFlagsAgainstItsTable) {
+  std::set<std::string> every_flag = kGlobalFlags;
+  for (const auto& [command, flags] : kCommandFlags) {
+    every_flag.insert(flags.begin(), flags.end());
+  }
+  EXPECT_EQ(ListedFlags(RunTool({"help"}).out), every_flag);
+
+  for (const auto& [command, flags] : kCommandFlags) {
+    CliResult help = RunTool({command, "--help"});
+    EXPECT_EQ(help.code, 0) << command;
+    std::set<std::string> expected = flags;
+    expected.insert(kGlobalFlags.begin(), kGlobalFlags.end());
+    EXPECT_EQ(ListedFlags(help.out), expected) << command;
+
+    for (const std::string& flag : every_flag) {
+      if (expected.contains(flag)) continue;
+      CliResult foreign = RunTool({command, "--" + flag, "1"});
+      EXPECT_EQ(foreign.code, 1) << command << " --" << flag;
+      EXPECT_NE(foreign.err.find("--" + flag), std::string::npos)
+          << foreign.err;
+      EXPECT_NE(foreign.err.find("does not apply to " + command),
+                std::string::npos)
+          << foreign.err;
+    }
+
+    CliResult unknown = RunTool({command, "--bogus", "3"});
+    EXPECT_EQ(unknown.code, 1) << command;
+    EXPECT_NE(unknown.err.find("unknown flag --bogus"), std::string::npos)
+        << unknown.err;
+
+    CliResult repeated = RunTool(
+        {command, "--log-level", "warn", "--log-level", "warn"});
+    EXPECT_EQ(repeated.code, 1) << command;
+    EXPECT_NE(repeated.err.find("--log-level is given more than once"),
+              std::string::npos)
+        << repeated.err;
+  }
+}
+
+TEST(CliTest, RejectsConflictingAndRepeatedFlags) {
+  struct Case {
+    std::vector<std::string> args;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {{"check", "--txns", kWriteSkew, "--workload", "auction"},
+       "--txns and --workload cannot be combined on check"},
+      {{"allocate", "--txns", kWriteSkew, "--rcsi", "--pin", "T1=SI"},
+       "--rcsi and --pin cannot be combined on allocate"},
+      {{"allocate", "--txns", kWriteSkew, "--atmost", "T1=SI", "--rcsi"},
+       "--rcsi and --atmost cannot be combined on allocate"},
+      {{"simulate", "--txns", kWriteSkew, "--seed", "1", "--seed", "2"},
+       "--seed is given more than once"},
+      {{"check", "--txns", kWriteSkew, "--json", "--json"},
+       "--json is given more than once"},
+      {{"check", "--txns", "--json"}, "--txns needs a value"},
+  };
+  for (const Case& c : cases) {
+    CliResult result = RunTool(c.args);
+    EXPECT_EQ(result.code, 1) << Join(c.args, " ");
+    EXPECT_NE(result.err.find(c.needle), std::string::npos)
+        << Join(c.args, " ") << " stderr: " << result.err;
+  }
+}
+
+TEST(CliTest, EngineShardsNeedTheManyCoreEngine) {
+  for (const char* command : {"simulate", "validate", "serve"}) {
+    for (const char* threads : {"", "1"}) {
+      std::vector<std::string> args = {command, "--txns", kWriteSkew,
+                                       "--engine-shards", "4"};
+      if (*threads != '\0') {
+        args.insert(args.end(), {"--engine-threads", threads});
+      }
+      CliResult result = RunTool(args);
+      EXPECT_EQ(result.code, 1) << Join(args, " ");
+      EXPECT_NE(result.err.find("--engine-shards needs --engine-threads > 1"),
+                std::string::npos)
+          << result.err;
+    }
+  }
+  CliResult sharded =
+      RunTool({"simulate", "--txns", kWriteSkew, "--runs", "2",
+               "--engine-threads", "2", "--engine-shards", "4"});
+  EXPECT_EQ(sharded.code, 0) << sharded.err;
+  EXPECT_NE(sharded.out.find("(2 engine threads)"), std::string::npos);
 }
 
 TEST(CliTest, StatsJsonAndTraceOutAreWritten) {

@@ -650,7 +650,7 @@ TEST(EngineEventStreamTest, HotKeyLockConflictsAreNotDeadlocks) {
     run_options.continuous = true;
     run_options.max_steps = 60'000;
     victims += RunConcurrent(engine, workload->txns, alloc, run_options)
-                   .deadlock_victims;
+                   .lock_conflicts;
   }
   EXPECT_GT(registry.counter("mvcc.aborts.lock_conflict").value(), 0u);
   EXPECT_EQ(registry.counter("mvcc.aborts.lock_conflict").value(), victims);

@@ -351,6 +351,7 @@ TEST(EngineMetricsTest, MetricsDoNotChangeExecution) {
   EXPECT_EQ(observed.attempts, baseline.attempts);
   EXPECT_EQ(observed.aborted_programs, baseline.aborted_programs);
   EXPECT_EQ(observed.deadlock_victims, baseline.deadlock_victims);
+  EXPECT_EQ(observed.lock_conflicts, baseline.lock_conflicts);
   EXPECT_EQ(instrumented.stats().commits, plain.stats().commits);
   EXPECT_EQ(instrumented.stats().aborts_ssi, plain.stats().aborts_ssi);
 }
@@ -540,6 +541,7 @@ TEST(LiveTelemetryTest, AttachingLiveSeriesDoesNotChangeTheRun) {
   EXPECT_EQ(observed.attempts, baseline.attempts);
   EXPECT_EQ(observed.aborted_programs, baseline.aborted_programs);
   EXPECT_EQ(observed.deadlock_victims, baseline.deadlock_victims);
+  EXPECT_EQ(observed.lock_conflicts, baseline.lock_conflicts);
   EXPECT_EQ(instrumented.stats().commits, plain.stats().commits);
 }
 

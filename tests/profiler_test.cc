@@ -240,6 +240,7 @@ TEST(ProfilerTest, ProfilingDoesNotChangeTheRun) {
   EXPECT_EQ(plain.attempts, profiled.attempts);
   EXPECT_EQ(plain.blocked_steps, profiled.blocked_steps);
   EXPECT_EQ(plain.deadlock_victims, profiled.deadlock_victims);
+  EXPECT_EQ(plain.lock_conflicts, profiled.lock_conflicts);
 }
 
 }  // namespace

@@ -251,6 +251,7 @@ TEST(TxnTraceTest, TracingDoesNotChangeTheRun) {
   EXPECT_EQ(plain.attempts, traced.attempts);
   EXPECT_EQ(plain.blocked_steps, traced.blocked_steps);
   EXPECT_EQ(plain.deadlock_victims, traced.deadlock_victims);
+  EXPECT_EQ(plain.lock_conflicts, traced.lock_conflicts);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 
 Three checks, all against the real tree and the real binary:
 
-  1. flags    — every `--flag` token mentioned in docs/cli.md must appear
-                in `mvrob --help` (docs cannot advertise flags that do
-                not exist).
+  1. flags    — two-way: every `--flag` token mentioned in docs/cli.md
+                must be a flag row of `mvrob --help` (docs cannot
+                advertise flags that do not exist), and every flag row
+                of `mvrob --help` must be mentioned in docs/cli.md (no
+                flag goes undocumented). The help text is rendered from
+                the CLI's flag table.
   2. links    — every relative link in every *.md file of the repo must
                 resolve to an existing file (anchors are stripped).
   3. tutorial — docs/tutorial.md is executable: each ```sh block is run
@@ -27,6 +30,8 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+# A flag row of the help screen: "  --name ...".
+FLAG_ROW_RE = re.compile(r"^  (--[a-z][a-z0-9-]*)", re.MULTILINE)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 
@@ -42,13 +47,23 @@ def check_flags(mvrob):
     help_text = subprocess.run(
         [mvrob, "--help"], capture_output=True, text=True
     ).stdout
-    known = set(FLAG_RE.findall(help_text)) | {"--help"}
+    known = set(FLAG_ROW_RE.findall(help_text))
     doc = open(os.path.join(REPO, "docs", "cli.md")).read()
     documented = set(FLAG_RE.findall(doc))
-    unknown = sorted(documented - known)
-    for flag in unknown:
-        fail(f"flags: docs/cli.md mentions {flag}, not in `mvrob --help`")
-    print(f"ok flags: {len(documented)} documented flags all exist")
+    mismatches = [
+        f"flags: docs/cli.md mentions {flag}, not in `mvrob --help`"
+        for flag in sorted(documented - known - {"--help"})
+    ] + [
+        f"flags: `mvrob --help` lists {flag}, not in docs/cli.md"
+        for flag in sorted(known - documented)
+    ]
+    if not known:
+        mismatches.append("flags: `mvrob --help` lists no flags")
+    for msg in mismatches:
+        fail(msg)
+    if not mismatches:
+        print(f"ok flags: the {len(known)} flags of `mvrob --help` and "
+              f"docs/cli.md match")
 
 
 def markdown_files():

@@ -363,12 +363,20 @@ fi
 rm -f "$PROFILE_PORT_FILE" "$PROFILE_SERVE_OUT" "$PROFILE_FOLDED" "$PROFILE_SVG"
 
 echo "==== numeric-flag rejection smoke ===="
-for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1"; do
+# Malformed values, unknown flags and flags the command does not take
+# all fail; `<command> --help` succeeds.
+for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1" \
+    "check --bogus 3" "check --engine-threads 8" \
+    "explore --trace-sample 3"; do
   if build/tools/mvrob $bad --workload tpcc:w=2,d=2 >/dev/null 2>&1; then
     echo "error: 'mvrob $bad' should have failed" >&2
     exit 1
   fi
 done
+build/tools/mvrob check --help >/dev/null || {
+  echo "error: 'mvrob check --help' should have succeeded" >&2
+  exit 1
+}
 if MVROB_POOL_WORKERS=junk build/tools/mvrob check \
     --workload tpcc:w=2,d=2 --threads 4 2>/dev/null | grep -q robust; then
   echo "numeric-flag rejection smoke OK (invalid env warns, run proceeds)"
@@ -465,9 +473,10 @@ PY
 rm -f "$TEMPLATE_TPL" "$TEMPLATE_OUT" "$TEMPLATE_JSON"
 
 echo "==== docs gate (flags + links + tutorial smoke) ===="
-# Documentation must stay true: every flag in docs/cli.md exists in
-# `mvrob --help`, every relative markdown link resolves, and every
-# command block in docs/tutorial.md re-runs with its documented output.
+# Documentation must stay true: the flags of `mvrob --help` and the flags
+# docs/cli.md mentions are the same set, every relative markdown link
+# resolves, and every command block in docs/tutorial.md re-runs with its
+# documented output.
 python3 tools/check_docs.py build/tools/mvrob
 
 echo "==== bench-regression gate ===="
