@@ -306,9 +306,42 @@ struct Flags {
   }
 };
 
-// Flag pairs that contradict each other on any command both apply to.
-constexpr std::pair<std::string_view, std::string_view> kConflicts[] = {
-    {"txns", "workload"}, {"rcsi", "pin"}, {"rcsi", "atmost"}};
+// A rule over two flags on the commands in `commands`.
+struct FlagPair {
+  uint32_t commands;
+  std::string_view flag;
+  std::string_view other;
+};
+
+// Flag pairs that contradict each other. The bounded and {RC,SI}
+// allocators print only their allocation, so the output flags of the
+// unconstrained allocator would go unread.
+constexpr FlagPair kConflicts[] = {
+    {kGlobal, "txns", "workload"},
+    {kAllocate, "rcsi", "pin"},
+    {kAllocate, "rcsi", "atmost"},
+    {kAllocate, "pin", "json"},
+    {kAllocate, "pin", "explain"},
+    {kAllocate, "pin", "witness-json"},
+    {kAllocate, "pin", "witness-dot"},
+    {kAllocate, "atmost", "json"},
+    {kAllocate, "atmost", "explain"},
+    {kAllocate, "atmost", "witness-json"},
+    {kAllocate, "atmost", "witness-dot"},
+    {kAllocate, "rcsi", "json"},
+    {kAllocate, "rcsi", "explain"},
+    {kAllocate, "rcsi", "witness-json"},
+    {kAllocate, "rcsi", "witness-dot"},
+};
+
+// Flags that mean nothing without the other flag of the pair.
+constexpr FlagPair kRequires[] = {
+    {kServe, "adapt-interval", "adapt"},
+    {kServe, "adapt-budget", "adapt"},
+    {kPromote, "default", "target"},
+    {kPromote, "concurrency", "validate-runs"},
+    {kPromote | kTemplates, "seed", "validate-runs"},
+};
 
 // Checks every argument against the table: an unknown, inapplicable,
 // repeated or conflicting flag and a missing or malformed value are errors.
@@ -340,10 +373,20 @@ StatusOr<Flags> ParseFlags(int command, const std::vector<std::string>& args) {
     flags.values[flag->name] =
         flag->kind == FlagKind::kSwitch ? "" : args[++i];
   }
-  for (auto [a, b] : kConflicts) {
-    if (flags.values.contains(a) && flags.values.contains(b)) {
-      return Status::InvalidArgument(
-          StrCat("--", a, " and --", b, " cannot be combined on ", name));
+  for (const FlagPair& rule : kConflicts) {
+    if ((rule.commands & flags.command) != 0 &&
+        flags.values.contains(rule.flag) && flags.values.contains(rule.other)) {
+      return Status::InvalidArgument(StrCat("--", rule.flag, " and --",
+                                            rule.other,
+                                            " cannot be combined on ", name));
+    }
+  }
+  for (const FlagPair& rule : kRequires) {
+    if ((rule.commands & flags.command) != 0 &&
+        flags.values.contains(rule.flag) &&
+        !flags.values.contains(rule.other)) {
+      return Status::InvalidArgument(StrCat("--", rule.flag, " needs --",
+                                            rule.other, " on ", name));
     }
   }
   if (flags.values.contains("engine-shards") &&
@@ -592,12 +635,13 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
                 MetricsRegistry* metrics) {
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
+  const CheckOptions options = LoadCheckOptions(flags, metrics);
 
   if (flags.Has("pin") || flags.Has("atmost")) {
     StatusOr<AllocationBounds> bounds = LoadBounds(flags, *txns);
     if (!bounds.ok()) return Fail(err, bounds.status());
     StatusOr<ConstrainedAllocationResult> result =
-        ComputeConstrainedAllocation(*txns, *bounds);
+        ComputeConstrainedAllocation(*txns, *bounds, options);
     if (!result.ok()) return Fail(err, result.status());
     if (!result->feasible) {
       out << "no robust allocation exists within the given bounds\n";
@@ -611,7 +655,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
   }
 
   if (flags.Has("rcsi")) {
-    RcSiAllocationResult result = ComputeOptimalRcSiAllocation(*txns);
+    RcSiAllocationResult result = ComputeOptimalRcSiAllocation(*txns, options);
     if (!result.allocatable) {
       out << "no robust {RC,SI} allocation exists\n";
       out << "counterexample against A_SI: "
@@ -623,11 +667,10 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
     return 0;
   }
 
-  OptimalAllocationResult result =
-      ComputeOptimalAllocation(*txns, LoadCheckOptions(flags, metrics));
+  OptimalAllocationResult result = ComputeOptimalAllocation(*txns, options);
   if (flags.Has("witness-json") || flags.Has("witness-dot")) {
     StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(*txns, result.allocation);
+        ExplainAllocation(*txns, result.allocation, options);
     if (!explanation.ok()) return Fail(err, explanation.status());
     Status witness_out = EmitAllocationWitness(flags, *txns, *explanation, out);
     if (!witness_out.ok()) return Fail(err, witness_out);
@@ -654,7 +697,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
       << " SSI=" << result.allocation.CountAt(IsolationLevel::kSSI) << "\n";
   if (flags.Has("explain")) {
     StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(*txns, result.allocation);
+        ExplainAllocation(*txns, result.allocation, options);
     if (!explanation.ok()) return Fail(err, explanation.status());
     out << explanation->ToString(*txns);
   }
@@ -886,7 +929,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
       << " (" << optimal.robustness_checks << " robustness checks)\n\n";
 
   StatusOr<AllocationExplanation> explanation =
-      ExplainAllocation(*txns, optimal.allocation);
+      ExplainAllocation(*txns, optimal.allocation, options);
   if (explanation.ok()) {
     out << "## Why no transaction can run lower\n\n```\n"
         << explanation->ToString(*txns) << "```\n\n";
@@ -1082,7 +1125,8 @@ int CmdShell(const Flags& flags, std::istream& in, std::ostream& out,
     if (!flags.Has("witness-json") && !flags.Has("witness-dot")) return;
     if (allocator.txns().empty()) return;
     StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(allocator.txns(), allocator.allocation());
+        ExplainAllocation(allocator.txns(), allocator.allocation(),
+                          allocator.check_options());
     if (!explanation.ok()) {
       err << "error: " << explanation.status().ToString() << "\n";
       return;

@@ -98,57 +98,41 @@ const RobustnessAnalyzer::PivotCache& RobustnessAnalyzer::PivotFor(
 
   const size_t n = txns_.size();
   // Nodes: transactions not conflicting with t1 (conflict_ is symmetric,
-  // so this is the complement of t1's row). Components via union-find,
-  // edges walked word-wise over the conflict rows restricted to the node
-  // set.
-  DenseBitset node_mask(n);
-  node_mask.SetAll();
-  node_mask.AndNotWith(conflict_.row(t1));
-  node_mask.Reset(t1);
+  // so this is the complement of t1's row). Components by a word-wise BFS
+  // from the lowest unvisited node: expanding a level ORs the conflict rows
+  // of its nodes, and the OR over the whole component is exactly the set of
+  // transactions conflicting with one of its nodes.
+  DenseBitset unvisited(n);
+  unvisited.SetAll();
+  unvisited.AndNotWith(conflict_.row(t1));
+  unvisited.Reset(t1);
 
-  std::vector<int> comp_of(n, -1);
-  std::vector<TxnId> nodes;
-  node_mask.ForEachSetBit(
-      [&](size_t x) { nodes.push_back(static_cast<TxnId>(x)); });
-  std::vector<int> node_index(n, -1);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    node_index[nodes[i]] = static_cast<int>(i);
-  }
-  // Simple DSU.
-  std::vector<size_t> parent(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  std::vector<DenseBitset> touching;  // Per kept component.
+  DenseBitset frontier(n);
+  DenseBitset next(n);
+  for (size_t root = unvisited.FindFirst(); root < n;
+       root = unvisited.FindNext(root + 1)) {
+    DenseBitset reach(n);
+    frontier.ResetAll();
+    frontier.Set(root);
+    unvisited.Reset(root);
+    while (frontier.Any()) {
+      next.ResetAll();
+      frontier.ForEachSetBit([&](size_t x) { next.OrWith(conflict_.row(x)); });
+      reach.OrWith(next);
+      next.AndWith(unvisited);
+      unvisited.AndNotWith(next);
+      std::swap(frontier, next);
     }
-    return x;
-  };
-  DenseBitset row_nodes(n);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    row_nodes.CopyFrom(conflict_.row(nodes[i]));
-    row_nodes.AndWith(node_mask);
-    row_nodes.ForEachSetBit([&](size_t y) {
-      size_t j = static_cast<size_t>(node_index[y]);
-      if (j > i) parent[find(i)] = find(j);
-    });
-  }
-  // Dense component ids.
-  std::vector<int> dense(nodes.size(), -1);
-  int num_components = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t root = find(i);
-    if (dense[root] < 0) dense[root] = num_components++;
-    comp_of[nodes[i]] = dense[root];
+    // A component touching fewer than two transactions never links a
+    // distinct (t2, tm) pair, so it needs no column.
+    if (reach.Count() >= 2) touching.push_back(std::move(reach));
   }
 
   PivotCache cache;
-  cache.comp_conf.assign(n, DenseBitset(static_cast<size_t>(num_components)));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    int c = comp_of[nodes[i]];
-    // conflict_'s diagonal is clear, so x != nodes[i] throughout.
-    conflict_.row(nodes[i]).ForEachSetBit(
-        [&](size_t x) { cache.comp_conf[x].Set(static_cast<size_t>(c)); });
+  cache.comp_conf = BitMatrix(n, touching.size());
+  for (size_t c = 0; c < touching.size(); ++c) {
+    touching[c].ForEachSetBit([&](size_t x) { cache.comp_conf.Set(x, c); });
   }
   slot = std::move(cache);
   return *slot;
@@ -157,7 +141,7 @@ const RobustnessAnalyzer::PivotCache& RobustnessAnalyzer::PivotFor(
 bool RobustnessAnalyzer::Reachable(TxnId t1, TxnId t2, TxnId tm) const {
   if (t2 == tm || conflict_.Test(t2, tm)) return true;
   const PivotCache& cache = PivotFor(t1);
-  return cache.comp_conf[t2].Intersects(cache.comp_conf[tm]);
+  return cache.comp_conf.row(t2).Intersects(cache.comp_conf.row(tm));
 }
 
 ConstBitSpan RobustnessAnalyzer::RcCandidatesFor(TxnId t1, int k) const {
@@ -181,7 +165,7 @@ ConstBitSpan RobustnessAnalyzer::RcCandidatesFor(TxnId t1, int k) const {
 std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
     const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1,
     const std::atomic<uint32_t>* best, const std::atomic<bool>* cancel,
-    uint64_t* words_scanned) const {
+    uint64_t* words_scanned, bool reference_inner) const {
   const size_t n = txns_.size();
   const uint64_t words_per_row = (n + 63) / 64;
   uint64_t mask_ops = 0;  // Word-wise row operations; flushed on return.
@@ -238,25 +222,93 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
       if (!Reachable(t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm))) {
         continue;
       }
-      // Witness recovery with the reference operation search.
-      CounterexampleChain chain;
-      bool found = internal::FindChainOperations(
-          txns_, alloc, t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm),
-          &chain);
-      if (!found) continue;  // Defensive; the indices guarantee success.
-      MixedIsoGraph graph(txns_, t1,
-                          {static_cast<TxnId>(t2), static_cast<TxnId>(tm)},
-                          &conflict_);
-      std::optional<std::vector<TxnId>> inner = graph.FindInnerChain(
-          static_cast<TxnId>(t2), static_cast<TxnId>(tm));
-      if (!inner.has_value()) continue;
-      chain.inner = std::move(inner).value();
+      std::optional<CounterexampleChain> chain =
+          Witness(alloc, t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm),
+                  reference_inner);
+      if (!chain.has_value()) continue;
       if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
       return chain;
     }
   }
   if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
   return std::nullopt;
+}
+
+std::optional<CounterexampleChain> RobustnessAnalyzer::Witness(
+    const Allocation& alloc, TxnId t1, TxnId t2, TxnId tm,
+    bool reference_inner) const {
+  // Witness recovery with the reference operation search.
+  CounterexampleChain chain;
+  if (!internal::FindChainOperations(txns_, alloc, t1, t2, tm, &chain)) {
+    return std::nullopt;  // Defensive; the indices guarantee success.
+  }
+  std::optional<std::vector<TxnId>> inner =
+      reference_inner
+          ? MixedIsoGraph(txns_, t1, {t2, tm}, &conflict_)
+                .FindInnerChain(t2, tm)
+          : FindInnerChainWordwise(conflict_, t1, t2, tm);
+  if (!inner.has_value()) return std::nullopt;
+  chain.inner = std::move(inner).value();
+  return chain;
+}
+
+std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRowThrough(
+    const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1, TxnId t,
+    uint64_t* words_scanned) const {
+  // t1 is SSI, so its pair and Tm conditions are CheckRow's SI/SSI ones
+  // with (6)-(8) applied; only the bits of t differ from the base.
+  const size_t n = txns_.size();
+  const bool t_ssi = ssi_mask.Test(t);
+  uint64_t mask_ops = 2;
+  DenseBitset ssi_rw_out(n);  // Condition (8)'s exclusion.
+  ssi_rw_out.CopyFrom(ssi_mask);
+  ssi_rw_out.AndWith(rw_.row(t1));
+  std::optional<CounterexampleChain> chain;
+
+  // T2 = t: the pair conditions, then a walk over the row's Tm candidates.
+  if (rw_.Test(t1, t) && ww_never_.Test(t1, t) &&
+      !(t_ssi && rw_into_.Test(t1, t))) {
+    DenseBitset tm_mask(n);
+    tm_mask.CopyFrom(si_candidates_.row(t1));
+    tm_mask.AndNotWith(ssi_rw_out);
+    mask_ops += 2;
+    if (t_ssi) {
+      tm_mask.AndNotWith(ssi_mask);
+      ++mask_ops;
+    }
+    for (size_t tm = tm_mask.FindFirst(); tm < n && !chain.has_value();
+         tm = tm_mask.FindNext(tm + 1)) {
+      if (Reachable(t1, t, static_cast<TxnId>(tm))) {
+        chain = Witness(alloc, t1, t, static_cast<TxnId>(tm),
+                        /*reference_inner=*/false);
+      }
+    }
+  }
+
+  // Tm = t, T2 != t: t's candidacy is one bit test, T2-independent except
+  // for condition (6), then a walk over the row's T2 candidates.
+  if (!chain.has_value() && si_candidates_.Test(t1, t) &&
+      !ssi_rw_out.Test(t)) {
+    DenseBitset pair_mask(n);
+    pair_mask.CopyFrom(rw_.row(t1));
+    pair_mask.AndWith(ww_never_.row(t1));
+    DenseBitset ssi_rw_in(n);  // Condition (7)'s exclusion.
+    ssi_rw_in.CopyFrom(ssi_mask);
+    ssi_rw_in.AndWith(rw_into_.row(t1));
+    pair_mask.AndNotWith(ssi_rw_in);
+    mask_ops += 5;
+    pair_mask.Reset(t);
+    for (size_t t2 = pair_mask.FindFirst(); t2 < n && !chain.has_value();
+         t2 = pair_mask.FindNext(t2 + 1)) {
+      if (t_ssi && ssi_mask.Test(t2)) continue;  // Condition (6).
+      if (Reachable(t1, static_cast<TxnId>(t2), t)) {
+        chain = Witness(alloc, t1, static_cast<TxnId>(t2), t,
+                        /*reference_inner=*/false);
+      }
+    }
+  }
+  *words_scanned += mask_ops * ((n + 63) / 64);
+  return chain;
 }
 
 RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc) const {
@@ -314,7 +366,8 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
     for (TxnId t1 = 0; t1 < n && !cancelled(); ++t1) {
       std::optional<CounterexampleChain> chain = CheckRow(
           alloc, ssi_mask, t1, nullptr, cancel,
-          metrics != nullptr ? &words_scanned : nullptr);
+          metrics != nullptr ? &words_scanned : nullptr,
+          /*reference_inner=*/true);
       ++rows_scanned;
       watch.Heartbeat();
       if (chain.has_value()) {
@@ -368,7 +421,8 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
         uint64_t row_words = 0;
         std::optional<CounterexampleChain> chain =
             CheckRow(alloc, ssi_mask, static_cast<TxnId>(i), &best, cancel,
-                     instrumented ? &row_words : nullptr);
+                     instrumented ? &row_words : nullptr,
+                     /*reference_inner=*/true);
         watch.Heartbeat();
         if (instrumented) {
           words_total.fetch_add(row_words, std::memory_order_relaxed);
@@ -409,6 +463,77 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
     RecordCheckMetrics(metrics, result,
                        words_total.load(std::memory_order_relaxed),
                        rows_scanned);
+  }
+  return result;
+}
+
+RobustnessResult RobustnessAnalyzer::CheckChange(
+    const Allocation& base, TxnId t, IsolationLevel level,
+    const CheckOptions& options) const {
+  MetricsRegistry* metrics =
+      options.metrics != nullptr ? options.metrics : metrics_;
+  RobustnessResult result;
+  const size_t n = txns_.size();
+  if (n < 2) {
+    if (metrics != nullptr) metrics->counter("analyzer.checks").Increment();
+    return result;
+  }
+  PhaseTimer scan_timer(metrics, "analyzer.delta_scan");
+  WatchdogScope watch(options.watchdog, "analyzer.delta_scan",
+                      std::chrono::seconds(30));
+  const Allocation alloc = base.With(t, level);
+  DenseBitset ssi_mask(n);
+  for (TxnId x = 0; x < n; ++x) {
+    if (alloc.level(x) == IsolationLevel::kSSI) ssi_mask.Set(x);
+  }
+  const std::atomic<bool>* cancel = options.cancel;
+  auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  };
+  const uint64_t m = n - 1;
+  uint64_t words_scanned = 0;
+  uint64_t rows_scanned = 0;
+  uint64_t triples = 0;
+
+  // Row T1 = t: every triple of the row contains t.
+  std::optional<CounterexampleChain> chain =
+      CheckRow(alloc, ssi_mask, t, nullptr, cancel, &words_scanned,
+               /*reference_inner=*/false);
+  ++rows_scanned;
+  watch.Heartbeat();
+  triples += chain.has_value()
+                 ? internal::TriplesUpToWitness(n, t, chain->t2, chain->tm) -
+                       t * m * m
+                 : m * m;
+  // Rows T1 != t see t's level only through (6)-(8), i.e. only when T1 is
+  // SSI and only if t's membership in SSI changes.
+  const bool ssi_changes = (base.level(t) == IsolationLevel::kSSI) !=
+                           (level == IsolationLevel::kSSI);
+  if (ssi_changes) {
+    for (size_t t1 = ssi_mask.FindFirst();
+         t1 < n && !chain.has_value() && !cancelled();
+         t1 = ssi_mask.FindNext(t1 + 1)) {
+      if (t1 == t) continue;
+      chain = CheckRowThrough(alloc, ssi_mask, static_cast<TxnId>(t1), t,
+                              &words_scanned);
+      ++rows_scanned;
+      watch.Heartbeat();
+      triples += 2 * m - 1;  // T2 = t (m triples) or Tm = t, T2 != t.
+    }
+  }
+
+  if (cancelled()) {
+    result.cancelled = true;  // Partial scan: no verdict.
+  } else {
+    result.triples_examined = triples;
+    if (chain.has_value()) {
+      result.robust = false;
+      result.counterexample = std::move(chain);
+    }
+  }
+  if (metrics != nullptr) {
+    metrics->histogram("analyzer.rows_per_thread").Observe(rows_scanned);
+    RecordCheckMetrics(metrics, result, words_scanned, rows_scanned);
   }
   return result;
 }

@@ -34,16 +34,17 @@ namespace mvrob {
 ///
 /// The payoff is twofold: a single decision drops from the reference
 /// checker's per-triple operation loops to a handful of word operations
-/// per (T1, T2) pair, and Algorithm 2 (2·|T| robustness checks over the
-/// *same* set) reuses every cache. Results — verdict, lowest
-/// counterexample triple, and the audited triples_examined — are
-/// bit-identical to CheckRobustness (property-tested).
+/// per (T1, T2) pair, and Algorithm 2 (up to 2·|T| CheckChange delta
+/// checks over the *same* set) reuses every cache. Check's results —
+/// verdict, lowest counterexample triple, and the audited
+/// triples_examined — are bit-identical to CheckRobustness
+/// (property-tested).
 ///
 /// Thread safety: Check(alloc, options) with options.num_threads != 1
 /// partitions the t1 rows over a thread pool; the lazy per-t1 caches are
 /// only ever touched by the thread owning that row, so concurrent rows
-/// are race-free. Distinct Check calls must not run concurrently on the
-/// same analyzer from user threads.
+/// are race-free. Distinct Check and CheckChange calls must not run
+/// concurrently on the same analyzer from user threads.
 class RobustnessAnalyzer {
  public:
   /// `metrics` (nullable) records the matrix-build phase timers and, as a
@@ -71,6 +72,28 @@ class RobustnessAnalyzer {
   RobustnessResult Check(const Allocation& alloc,
                          const CheckOptions& options) const;
 
+  /// Decides robustness of base.With(t, level) for a `base` the caller
+  /// already knows to be robust, visiting only the triples (T1, T2, Tm)
+  /// that contain t. Sound because Definition 3.1's conditions for a
+  /// triple read only the levels of T1, T2 and Tm (the operation indices
+  /// and pivot components are level-independent): a triple without t has
+  /// the verdict it has under `base`, and `base` has no witness. Moreover
+  /// the levels of T2 and Tm matter only through conditions (6)-(8), which
+  /// apply only when T1 is SSI, so besides row T1 = t the scan visits the
+  /// SSI rows, and those only when the change moves t into or out of SSI.
+  ///
+  /// The verdict equals Check(base.With(t, level)).robust. A non-robust
+  /// result carries *a* witness containing t (not necessarily the lowest
+  /// triple, and with the inner chain from FindInnerChainWordwise);
+  /// triples_examined counts the triples containing t in the rows visited
+  /// (row t up to its witness, the other rows whole). Cancellation,
+  /// watchdog heartbeats (one per row) and the analyzer.* counters follow
+  /// Check; options.num_threads is ignored, the scan is sequential.
+  /// Passing a non-robust `base` gives no meaningful verdict.
+  RobustnessResult CheckChange(const Allocation& base, TxnId t,
+                               IsolationLevel level,
+                               const CheckOptions& options = {}) const;
+
   const TransactionSet& txns() const { return txns_; }
 
   /// The pairwise conflict matrix (symmetric, zero diagonal); equals
@@ -83,10 +106,10 @@ class RobustnessAnalyzer {
 
   // Conflicts between a pivot's component structure and other transactions.
   struct PivotCache {
-    // For every transaction x: bitmask over the pivot-graph components
+    // Row x (one per transaction): bitmask over the pivot-graph components
     // that contain a transaction conflicting with x. reachable(t2, tm)
-    // through the graph iff the masks of t2 and tm intersect.
-    std::vector<DenseBitset> comp_conf;
+    // through the graph iff the rows of t2 and tm intersect.
+    BitMatrix comp_conf;
   };
 
   const PivotCache& PivotFor(TxnId t1) const;
@@ -105,10 +128,25 @@ class RobustnessAnalyzer {
   /// (Check maps this to a cancelled result). When `words_scanned` is
   /// non-null, the number of 64-bit words touched by the row's word-wise
   /// mask operations is accumulated into it.
+  /// `reference_inner` picks how a witness's inner chain is recovered:
+  /// MixedIsoGraph (Check, whose counterexamples match CheckRobustness) or
+  /// FindInnerChainWordwise (CheckChange).
   std::optional<CounterexampleChain> CheckRow(
       const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1,
       const std::atomic<uint32_t>* best, const std::atomic<bool>* cancel,
+      uint64_t* words_scanned, bool reference_inner) const;
+
+  /// CheckChange's scan of an SSI row t1 != t: the triples with T2 = t,
+  /// then those with Tm = t. Words touched are added to `words_scanned`.
+  std::optional<CounterexampleChain> CheckRowThrough(
+      const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1, TxnId t,
       uint64_t* words_scanned) const;
+
+  /// Turns a triple that passes every mask and Reachable into its
+  /// counterexample chain (operations plus inner chain), or nullopt.
+  std::optional<CounterexampleChain> Witness(const Allocation& alloc,
+                                             TxnId t1, TxnId t2, TxnId tm,
+                                             bool reference_inner) const;
 
   int first_ww_idx(TxnId i, TxnId j) const {
     return first_ww_idx_[i * txns_.size() + j];

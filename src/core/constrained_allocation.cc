@@ -2,11 +2,13 @@
 
 #include "common/string_util.h"
 #include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 
 namespace mvrob {
 
 StatusOr<ConstrainedAllocationResult> ComputeConstrainedAllocation(
-    const TransactionSet& txns, const AllocationBounds& bounds) {
+    const TransactionSet& txns, const AllocationBounds& bounds,
+    const CheckOptions& options) {
   const size_t n = txns.size();
   if (bounds.min_level.size() != n || bounds.max_level.size() != n) {
     return Status::InvalidArgument("bounds size mismatch");
@@ -21,13 +23,13 @@ StatusOr<ConstrainedAllocationResult> ComputeConstrainedAllocation(
   }
 
   ConstrainedAllocationResult result;
-  RobustnessAnalyzer analyzer(txns);
+  RobustnessAnalyzer analyzer(txns, options.metrics);
 
   // Feasibility: by Proposition 4.1(1) the box contains a robust
   // allocation iff its top element does.
   Allocation top(bounds.max_level);
   ++result.robustness_checks;
-  RobustnessResult at_top = analyzer.Check(top);
+  RobustnessResult at_top = analyzer.Check(top, options);
   if (!at_top.robust) {
     result.feasible = false;
     result.counterexample = std::move(at_top.counterexample);
@@ -35,20 +37,11 @@ StatusOr<ConstrainedAllocationResult> ComputeConstrainedAllocation(
   }
   result.feasible = true;
 
-  Allocation allocation = top;
-  for (TxnId t = 0; t < n; ++t) {
-    for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
-      if (level < bounds.min_level[t]) continue;
-      if (!(level < allocation.level(t))) break;  // Already at/below.
-      Allocation candidate = allocation.With(t, level);
-      ++result.robustness_checks;
-      if (analyzer.Check(candidate).robust) {
-        allocation = candidate;
-        break;
-      }
-    }
-  }
-  result.allocation = std::move(allocation);
+  // The certified top is the robust start of Algorithm 2's lowering loop.
+  LoweringResult lowered =
+      LowerAllocation(analyzer, std::move(top), bounds.min_level, options);
+  result.robustness_checks += lowered.robustness_checks;
+  result.allocation = std::move(lowered.allocation);
   return result;
 }
 

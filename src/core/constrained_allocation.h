@@ -57,9 +57,11 @@ struct ConstrainedAllocationResult {
 /// Computes the optimal robust allocation subject to the bounds
 /// (Algorithm 2 over the box): start from max levels, lower each
 /// transaction towards its min. Fails with InvalidArgument when bounds are
-/// malformed (size mismatch or min > max somewhere).
+/// malformed (size mismatch or min > max somewhere). `options` is forwarded
+/// to every robustness check.
 StatusOr<ConstrainedAllocationResult> ComputeConstrainedAllocation(
-    const TransactionSet& txns, const AllocationBounds& bounds);
+    const TransactionSet& txns, const AllocationBounds& bounds,
+    const CheckOptions& options = {});
 
 }  // namespace mvrob
 

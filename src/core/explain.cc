@@ -1,6 +1,7 @@
 #include "core/explain.h"
 
 #include "common/string_util.h"
+#include "core/analyzer.h"
 
 namespace mvrob {
 
@@ -22,13 +23,23 @@ std::string AllocationExplanation::ToString(
 }
 
 StatusOr<AllocationExplanation> ExplainAllocation(
-    const TransactionSet& txns, const Allocation& allocation) {
+    const TransactionSet& txns, const Allocation& allocation,
+    const CheckOptions& options) {
   if (allocation.size() != txns.size()) {
     return Status::InvalidArgument("allocation size mismatch");
   }
-  if (RobustnessResult base = CheckRobustness(txns, allocation);
-      !base.robust) {
-    const CounterexampleChain& chain = *base.counterexample;
+  // One analyzer for all checks; its counterexamples equal the reference
+  // checker's.
+  const RobustnessAnalyzer analyzer(txns, options.metrics);
+  auto check = [&](const Allocation& alloc) -> StatusOr<RobustnessResult> {
+    RobustnessResult result = analyzer.Check(alloc, options);
+    if (result.cancelled) return Status::FailedPrecondition("cancelled");
+    return result;
+  };
+  StatusOr<RobustnessResult> base = check(allocation);
+  if (!base.ok()) return base.status();
+  if (!base->robust) {
+    const CounterexampleChain& chain = *base->counterexample;
     std::string members;
     for (TxnId t : chain.ChainTxns()) {
       if (!members.empty()) members += ", ";
@@ -48,12 +59,12 @@ StatusOr<AllocationExplanation> ExplainAllocation(
     entry.assigned = allocation.level(t);
     for (IsolationLevel lower : kAllIsolationLevels) {
       if (!(lower < entry.assigned)) continue;
-      RobustnessResult result =
-          CheckRobustness(txns, allocation.With(t, lower));
-      if (!result.robust) {
+      StatusOr<RobustnessResult> result = check(allocation.With(t, lower));
+      if (!result.ok()) return result.status();
+      if (!result->robust) {
         entry.obstacles.push_back(
             AllocationObstacle::Obstacle{lower,
-                                         std::move(*result.counterexample)});
+                                         std::move(*result->counterexample)});
       }
     }
     explanation.per_txn.push_back(std::move(entry));

@@ -39,8 +39,11 @@ struct AllocationExplanation {
 /// Explains `allocation` for `txns`: for every transaction and every level
 /// below its assigned one, records Algorithm 1's counterexample against
 /// the lowered allocation (if any). The allocation must be robust.
+/// `options` reaches every check (a cancelled check fails the call); the
+/// explanation is the same for every thread count.
 StatusOr<AllocationExplanation> ExplainAllocation(
-    const TransactionSet& txns, const Allocation& allocation);
+    const TransactionSet& txns, const Allocation& allocation,
+    const CheckOptions& options = {});
 
 }  // namespace mvrob
 

@@ -1,6 +1,7 @@
 #include "core/incremental.h"
 
 #include "common/metrics.h"
+#include "core/optimal_allocation.h"
 
 namespace mvrob {
 
@@ -44,30 +45,17 @@ void IncrementalAllocator::Reoptimize(
     const std::vector<IsolationLevel>& lower_bounds) {
   PhaseTimer timer(options_.metrics, "incremental.reoptimize");
   RobustnessAnalyzer analyzer(txns_, options_.metrics);
-  Allocation allocation = Allocation::AllSSI(txns_.size());
-  uint64_t checks = 0;
-  uint64_t warm_start_skips = 0;
-  for (TxnId t = 0; t < txns_.size(); ++t) {
-    for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
-      if (level < lower_bounds[t]) {  // Warm start.
-        ++warm_start_skips;
-        continue;
-      }
-      Allocation candidate = allocation.With(t, level);
-      ++checks_performed_;
-      ++checks;
-      if (analyzer.Check(candidate, options_).robust) {
-        allocation = candidate;
-        break;
-      }
-    }
-  }
-  allocation_ = std::move(allocation);
+  // Algorithm 2 from A_SSI with the warm-start levels as lower bounds.
+  LoweringResult lowered = LowerAllocation(
+      analyzer, Allocation::AllSSI(txns_.size()), lower_bounds, options_);
+  checks_performed_ += lowered.robustness_checks;
+  allocation_ = std::move(lowered.allocation);
   if (options_.metrics != nullptr) {
     options_.metrics->counter("incremental.reoptimize_calls").Increment();
-    options_.metrics->counter("incremental.checks_performed").Add(checks);
+    options_.metrics->counter("incremental.checks_performed")
+        .Add(lowered.robustness_checks);
     options_.metrics->counter("incremental.warm_start_skips")
-        .Add(warm_start_skips);
+        .Add(lowered.levels_skipped);
   }
 }
 

@@ -94,4 +94,47 @@ std::optional<std::vector<TxnId>> MixedIsoGraph::FindInnerChain(
   return std::nullopt;
 }
 
+std::optional<std::vector<TxnId>> FindInnerChainWordwise(
+    const BitMatrix& conflict, TxnId t1, TxnId t2, TxnId tm) {
+  if (t2 == tm || conflict.Test(t2, tm)) return std::vector<TxnId>{};
+  const size_t n = conflict.rows();
+  DenseBitset unvisited(n);
+  unvisited.SetAll();
+  unvisited.AndNotWith(conflict.row(t1));
+  unvisited.Reset(t1);
+  unvisited.Reset(t2);
+  unvisited.Reset(tm);
+  // levels[d]: the graph nodes at distance d from t2's neighbourhood.
+  std::vector<DenseBitset> levels;
+  DenseBitset frontier(n);
+  frontier.CopyFrom(conflict.row(t2));
+  frontier.AndWith(unvisited);
+  DenseBitset meet(n);
+  while (frontier.Any()) {
+    unvisited.AndNotWith(frontier);
+    meet.CopyFrom(frontier);
+    meet.AndWith(conflict.row(tm));
+    if (meet.Any()) {
+      // Walk back from the lowest node touching tm, taking at each level
+      // the lowest node that conflicts with its successor.
+      std::vector<TxnId> chain(levels.size() + 1);
+      size_t node = meet.FindFirst();
+      chain.back() = static_cast<TxnId>(node);
+      for (size_t d = levels.size(); d-- > 0;) {
+        meet.CopyFrom(levels[d]);
+        meet.AndWith(conflict.row(node));
+        node = meet.FindFirst();
+        chain[d] = static_cast<TxnId>(node);
+      }
+      return chain;
+    }
+    DenseBitset next(n);
+    frontier.ForEachSetBit([&](size_t x) { next.OrWith(conflict.row(x)); });
+    next.AndWith(unvisited);
+    levels.push_back(std::move(frontier));
+    frontier = std::move(next);
+  }
+  return std::nullopt;
+}
+
 }  // namespace mvrob

@@ -62,6 +62,18 @@ class MixedIsoGraph {
   std::vector<int> component_;        // By dense node index.
 };
 
+/// The same inner-chain search as MixedIsoGraph::FindInnerChain, run
+/// word-wise over the rows of `conflict` (BuildConflictMatrix of the set)
+/// without materializing the graph: a level-synchronous BFS from the
+/// graph nodes conflicting with `t2`, where each level is one bitset and
+/// expanding it ORs the conflict rows of its nodes. The graph nodes are the
+/// transactions outside {t1, t2, tm} that do not conflict with t1.
+/// Returns nullopt iff FindInnerChain does; otherwise a shortest inner
+/// chain (the same length as FindInnerChain's, though it may pass through
+/// other transactions).
+std::optional<std::vector<TxnId>> FindInnerChainWordwise(
+    const BitMatrix& conflict, TxnId t1, TxnId t2, TxnId tm);
+
 }  // namespace mvrob
 
 #endif  // MVROB_CORE_MIXED_ISO_GRAPH_H_

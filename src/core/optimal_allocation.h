@@ -2,6 +2,7 @@
 #define MVROB_CORE_OPTIMAL_ALLOCATION_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/robustness.h"
 
@@ -21,11 +22,12 @@ struct OptimalAllocationResult {
 ///
 /// Starts from A_SSI (always robust, since SSI guarantees serializability)
 /// and, for each transaction in turn, assigns the lowest level that keeps
-/// the allocation robust. Correctness follows from Proposition 4.1(2): the
-/// outcome does not depend on the iteration order.
+/// the allocation robust (LowerAllocation). Correctness follows from
+/// Proposition 4.1(2): the outcome does not depend on the iteration order.
 ///
-/// `options` is forwarded to every robustness check; the allocation is
-/// identical for every thread count (each check is deterministic).
+/// `options` reaches every robustness check: its metrics, cancel flag and
+/// watchdog. The checks are sequential delta checks, so num_threads does
+/// not change the work or the allocation.
 OptimalAllocationResult ComputeOptimalAllocation(const TransactionSet& txns,
                                                  const CheckOptions& options = {});
 
@@ -37,6 +39,28 @@ class RobustnessAnalyzer;
 /// instead of rebuilding them.
 OptimalAllocationResult ComputeOptimalAllocation(
     const RobustnessAnalyzer& analyzer, const CheckOptions& options = {});
+
+/// Outcome of LowerAllocation.
+struct LoweringResult {
+  Allocation allocation;
+  /// Robustness checks run (one per level tried).
+  uint64_t robustness_checks = 0;
+  /// Levels not tried because they lie below the transaction's lower bound.
+  uint64_t levels_skipped = 0;
+};
+
+/// Algorithm 2's lowering loop, shared by every allocator: for each
+/// transaction in turn, tries the levels from RC upwards that are at least
+/// lower_bounds[t] and below its current level, and keeps the first one
+/// that stays robust. `start` must be robust (the caller certifies it, or
+/// it is A_SSI); every accepted step keeps it robust, so each step is one
+/// RobustnessAnalyzer::CheckChange instead of a full check. With
+/// options.cancel raised the loop stops at the cancelled check and returns
+/// the (still robust) allocation reached so far.
+LoweringResult LowerAllocation(const RobustnessAnalyzer& analyzer,
+                               Allocation start,
+                               const std::vector<IsolationLevel>& lower_bounds,
+                               const CheckOptions& options = {});
 
 }  // namespace mvrob
 

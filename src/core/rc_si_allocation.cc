@@ -1,14 +1,16 @@
 #include "core/rc_si_allocation.h"
 
 #include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 
 namespace mvrob {
 
-RcSiAllocationResult ComputeOptimalRcSiAllocation(const TransactionSet& txns) {
+RcSiAllocationResult ComputeOptimalRcSiAllocation(
+    const TransactionSet& txns, const CheckOptions& options) {
   RcSiAllocationResult result;
-  RobustnessAnalyzer analyzer(txns);
-  RobustnessResult against_si =
-      analyzer.Check(Allocation::AllSI(txns.size()));
+  RobustnessAnalyzer analyzer(txns, options.metrics);
+  const Allocation all_si = Allocation::AllSI(txns.size());
+  RobustnessResult against_si = analyzer.Check(all_si, options);
   ++result.robustness_checks;
   if (!against_si.robust) {
     result.allocatable = false;
@@ -16,15 +18,12 @@ RcSiAllocationResult ComputeOptimalRcSiAllocation(const TransactionSet& txns) {
     return result;
   }
   result.allocatable = true;
-  Allocation allocation = Allocation::AllSI(txns.size());
-  for (TxnId t = 0; t < txns.size(); ++t) {
-    Allocation candidate = allocation.With(t, IsolationLevel::kRC);
-    ++result.robustness_checks;
-    if (analyzer.Check(candidate).robust) {
-      allocation = candidate;
-    }
-  }
-  result.allocation = std::move(allocation);
+  // From the certified A_SI the only level to try is RC.
+  LoweringResult lowered = LowerAllocation(
+      analyzer, all_si,
+      std::vector<IsolationLevel>(txns.size(), IsolationLevel::kRC), options);
+  result.robustness_checks += lowered.robustness_checks;
+  result.allocation = std::move(lowered.allocation);
   return result;
 }
 

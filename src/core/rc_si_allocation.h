@@ -22,8 +22,10 @@ struct RcSiAllocationResult {
 
 /// Theorem 5.5: decides in PTIME whether `txns` is robustly allocatable
 /// against {RC, SI} and, if so, computes the unique optimal allocation by
-/// running Algorithm 2 from A_SI downwards.
-RcSiAllocationResult ComputeOptimalRcSiAllocation(const TransactionSet& txns);
+/// running Algorithm 2 from A_SI downwards. `options` is forwarded to every
+/// robustness check.
+RcSiAllocationResult ComputeOptimalRcSiAllocation(
+    const TransactionSet& txns, const CheckOptions& options = {});
 
 }  // namespace mvrob
 

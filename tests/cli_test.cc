@@ -387,6 +387,61 @@ TEST(CliTest, RejectsConflictingAndRepeatedFlags) {
   }
 }
 
+// Flags their command would read past silently: the output flags of the
+// unconstrained allocator under --pin/--atmost/--rcsi, and options of a
+// mode that is off.
+TEST(CliTest, RejectsFlagsTheirModeIgnores) {
+  struct Case {
+    std::vector<std::string> args;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {{"allocate", "--workload", "smallbank:c=2", "--rcsi", "--json"},
+       "--rcsi and --json cannot be combined on allocate"},
+      {{"allocate", "--txns", kWriteSkew, "--rcsi", "--explain"},
+       "--rcsi and --explain cannot be combined on allocate"},
+      {{"allocate", "--txns", kWriteSkew, "--pin", "T1=SI", "--witness-json",
+        "-"},
+       "--pin and --witness-json cannot be combined on allocate"},
+      {{"allocate", "--txns", kWriteSkew, "--atmost", "T1=SI", "--witness-dot",
+        "-"},
+       "--atmost and --witness-dot cannot be combined on allocate"},
+      {{"allocate", "--txns", kWriteSkew, "--json", "--atmost", "T1=SI"},
+       "--atmost and --json cannot be combined on allocate"},
+      {{"serve", "--txns", kWriteSkew, "--adapt-interval", "5"},
+       "--adapt-interval needs --adapt on serve"},
+      {{"serve", "--txns", kWriteSkew, "--adapt-budget", "2"},
+       "--adapt-budget needs --adapt on serve"},
+      {{"promote", "--workload", "smallbank:c=2", "--default", "RC"},
+       "--default needs --target on promote"},
+      {{"promote", "--txns", kWriteSkew, "--concurrency", "2"},
+       "--concurrency needs --validate-runs on promote"},
+      {{"promote", "--txns", kWriteSkew, "--seed", "7"},
+       "--seed needs --validate-runs on promote"},
+      {{"templates", "--templates", "T: R[x] W[x]", "--seed", "7"},
+       "--seed needs --validate-runs on templates"},
+  };
+  for (const Case& c : cases) {
+    CliResult result = RunTool(c.args);
+    EXPECT_EQ(result.code, 1) << Join(c.args, " ");
+    EXPECT_NE(result.err.find(c.needle), std::string::npos)
+        << Join(c.args, " ") << " stderr: " << result.err;
+  }
+
+  // The same flags are fine where their mode is on.
+  const std::vector<std::string> accepted[] = {
+      {"allocate", "--txns", kWriteSkew, "--rcsi"},
+      {"allocate", "--txns", kWriteSkew, "--pin", "T1=SI"},
+      {"promote", "--txns", kWriteSkew, "--target", "T1=SI", "--default",
+       "SSI"},
+      {"check", "--txns", kWriteSkew, "--default", "SI", "--json"},
+  };
+  for (const std::vector<std::string>& args : accepted) {
+    CliResult result = RunTool(args);
+    EXPECT_EQ(result.code, 0) << Join(args, " ") << " stderr: " << result.err;
+  }
+}
+
 TEST(CliTest, EngineShardsNeedTheManyCoreEngine) {
   for (const char* command : {"simulate", "validate", "serve"}) {
     for (const char* threads : {"", "1"}) {

@@ -583,10 +583,11 @@ MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
+# The delta check indexes bit rows directly: its property test runs here.
 cmake --build build-asan -j"$JOBS" --target \
-  common_test parallel_differential_test core_test
+  common_test parallel_differential_test core_test delta_check_property_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer'
+  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|WordwiseInnerChain'
 
 echo "==== all CI stages passed ===="
