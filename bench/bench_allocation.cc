@@ -49,26 +49,6 @@ void BM_OptimalAllocation_ScaleTxns(benchmark::State& state) {
 BENCHMARK(BM_OptimalAllocation_ScaleTxns)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Arg(64)->Unit(benchmark::kMillisecond);
 
-// Algorithm 2 with a parallel inner checker: every one of the 2|T|
-// robustness checks fans its t1 loop out over the thread pool. range(0) =
-// |T|, range(1) = num_threads (the allocation is identical regardless).
-void BM_OptimalAllocation_Parallel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  TransactionSet txns = MakeWorkload(n, 5);
-  CheckOptions options;
-  options.num_threads = threads;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeOptimalAllocation(txns, options));
-  }
-  state.counters["txns"] = n;
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_OptimalAllocation_Parallel)
-    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8})
-    ->Args({64, 1})->Args({64, 2})->Args({64, 4})->Args({64, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_RcSiAllocation_ScaleTxns(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TransactionSet txns = MakeWorkload(n, 5);

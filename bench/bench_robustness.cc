@@ -7,7 +7,6 @@
 
 #include "core/analyzer.h"
 #include "core/robustness.h"
-#include "legacy_analyzer.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {
@@ -166,22 +165,7 @@ void BM_Analyzer_ScaleTxns(benchmark::State& state) {
 BENCHMARK(BM_Analyzer_ScaleTxns)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
     ->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
 
-// ---- Old-vs-bitset: the pre-refactor analyzer (bench/legacy_analyzer.h,
-// a verbatim copy) against the bitset engine on the same instances. Same
-// verdicts and triple counts; only the kernels differ.
-
-void BM_LegacyAnalyzer_RmwClique(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  TransactionSet txns = MakeRmwClique(n, 2);
-  LegacyRobustnessAnalyzer analyzer(txns);
-  Allocation alloc = Allocation::AllSI(txns.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.Check(alloc).robust);
-  }
-  state.counters["txns"] = n;
-}
-BENCHMARK(BM_LegacyAnalyzer_RmwClique)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
+// ---- The bitset analyzer's full check on the two dense families.
 
 void BM_BitsetAnalyzer_RmwClique(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -196,19 +180,6 @@ void BM_BitsetAnalyzer_RmwClique(benchmark::State& state) {
 BENCHMARK(BM_BitsetAnalyzer_RmwClique)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_LegacyAnalyzer_ReadersWriters(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  TransactionSet txns = MakeReadersWriters(n, 4);
-  LegacyRobustnessAnalyzer analyzer(txns);
-  Allocation alloc = Allocation::AllSI(txns.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.Check(alloc).robust);
-  }
-  state.counters["txns"] = n;
-}
-BENCHMARK(BM_LegacyAnalyzer_ReadersWriters)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_BitsetAnalyzer_ReadersWriters(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TransactionSet txns = MakeReadersWriters(n, 4);
@@ -220,31 +191,6 @@ void BM_BitsetAnalyzer_ReadersWriters(benchmark::State& state) {
   state.counters["txns"] = n;
 }
 BENCHMARK(BM_BitsetAnalyzer_ReadersWriters)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
-
-// ---- Sequential-vs-parallel: the bitset engine's t1 loop over the thread
-// pool. range(0) = |T|, range(1) = num_threads. On a machine with a single
-// core the pool degrades to the sequential path and the curve is flat;
-// tools/bench_to_json.sh records whatever the hardware provides.
-
-void BM_ParallelCheck(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  TransactionSet txns = MakeReadersWriters(n, 4);
-  RobustnessAnalyzer analyzer(txns);
-  Allocation alloc = Allocation::AllSI(txns.size());
-  CheckOptions options;
-  options.num_threads = threads;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.Check(alloc, options).robust);
-  }
-  state.counters["txns"] = n;
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ParallelCheck)
-    ->Args({64, 1})->Args({64, 2})->Args({64, 4})->Args({64, 8})
-    ->Args({256, 1})->Args({256, 2})->Args({256, 4})->Args({256, 8})
-    ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMicrosecond);
 
 // Construction cost of the analyzer (amortized over Algorithm 2's 2|T|

@@ -167,9 +167,6 @@ const std::vector<FlagSpec>& FlagTable() {
            "type, operation pair and Definition 3.1 condition ('-' = stdout)"),
       Text("witness-dot", "<file|->", kCheck | kAllocate | kShell,
            "the same witness as a Graphviz digraph"),
-      Number(kInt, "threads", "<n>", 0, kIntMax, CheckOptions().num_threads,
-             kCheck | kAllocate | kReport | kValidate | kPromote | kServe,
-             "worker threads for robustness checks, 0 = all cores"),
       Number(kInt, "runs", "<n>", 0, kIntMax, {}, kSimulate | kValidate,
              "engine executions (simulate: >= 1, default 20; validate: "
              "default 200)"),
@@ -395,6 +392,12 @@ StatusOr<Flags> ParseFlags(int command, const std::vector<std::string>& args) {
         "--engine-shards needs --engine-threads > 1: the deterministic "
         "engine is not sharded");
   }
+  if (flags.values.contains("profile-out") &&
+      flags.values.contains("profile-hz") && flags.Int("profile-hz") == 0) {
+    return Status::InvalidArgument(
+        "--profile-out needs --profile-hz > 0: --profile-hz 0 turns the "
+        "profiler off");
+  }
   return flags;
 }
 
@@ -504,14 +507,8 @@ int Fail(std::ostream& err, const Status& status) {
   return 1;
 }
 
-CheckOptions LoadCheckOptions(const Flags& flags, MetricsRegistry* metrics) {
-  CheckOptions options;
-  options.metrics = metrics;
-  options.num_threads = flags.Int("threads");
-  return options;
-}
-
-// --profile-out alone implies the profiler's default rate.
+// --profile-out alone implies the profiler's default rate (ParseFlags
+// rejects it with an explicit --profile-hz 0).
 int ProfileHz(const Flags& flags) {
   const int hz = flags.Int("profile-hz");
   return hz == 0 && flags.Has("profile-out") ? ProfilerOptions().hz : hz;
@@ -562,7 +559,7 @@ int CmdCheck(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!alloc.ok()) return Fail(err, alloc.status());
 
   RobustnessResult result =
-      CheckRobustness(*txns, *alloc, LoadCheckOptions(flags, metrics));
+      CheckRobustness(*txns, *alloc, CheckOptions{.metrics = metrics});
   Status witness_out = EmitWitness(
       flags, [&] { return RobustnessWitnessJson(*txns, *alloc, result); },
       [&] { return RobustnessWitnessDot(*txns, *alloc, result); }, out);
@@ -635,7 +632,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
                 MetricsRegistry* metrics) {
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
-  const CheckOptions options = LoadCheckOptions(flags, metrics);
+  const CheckOptions options{.metrics = metrics};
 
   if (flags.Has("pin") || flags.Has("atmost")) {
     StatusOr<AllocationBounds> bounds = LoadBounds(flags, *txns);
@@ -906,7 +903,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
               MetricsRegistry* metrics) {
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
-  const CheckOptions options = LoadCheckOptions(flags, metrics);
+  const CheckOptions options{.metrics = metrics};
 
   out << "# Workload analysis\n\n";
   out << "## Transactions\n\n```\n" << txns->ToString() << "```\n\n";
@@ -936,7 +933,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
   }
 
   std::vector<CounterexampleChain> spots = FindAllCounterexamples(
-      *txns, Allocation::AllSI(txns->size()), /*limit=*/8, options);
+      *txns, Allocation::AllSI(txns->size()), /*limit=*/8);
   if (!spots.empty()) {
     out << "## Trouble spots under A_SI\n\n";
     for (const CounterexampleChain& chain : spots) {
@@ -1098,7 +1095,7 @@ int CmdValidate(const Flags& flags, std::ostream& out, std::ostream& err,
   options.seed = flags.Uint64("seed");
   options.engine_threads = flags.Int("engine-threads");
   options.engine_shards = flags.Uint64("engine-shards");
-  options.check = LoadCheckOptions(flags, metrics);
+  options.check.metrics = metrics;
   options.metrics = metrics;
   StatusOr<RoundTripReport> report =
       ValidateEngineRuns(*txns, *alloc, options);
@@ -1220,7 +1217,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   params.window_s = static_cast<uint32_t>(flags.Int("window"));
   params.concurrency = flags.Int("concurrency");
   params.seed = flags.Uint64("seed");
-  params.threads = flags.Int("threads");
   params.engine_threads = flags.Int("engine-threads");
   params.engine_shards = flags.Uint64("engine-shards");
   params.adapt = flags.Has("adapt");
@@ -1285,7 +1281,7 @@ int CmdPromote(const Flags& flags, std::ostream& out, std::ostream& err,
   StatusOr<TransactionSet> txns = LoadTxns(flags);
   if (!txns.ok()) return Fail(err, txns.status());
   PromoteOptions options;
-  options.check = LoadCheckOptions(flags, metrics);
+  options.check.metrics = metrics;
   options.max_promotions = flags.Int("budget");
   options.weight_si = flags.Int("weight-si");
   options.weight_ssi = flags.Int("weight-ssi");

@@ -71,14 +71,12 @@ uint64_t WallClockMicros() {
 // provenance report from core/witness. `stop` cancels the scan mid-check so
 // shutdown never waits for a full pass; a cancelled check returns the empty
 // string and the caller keeps the previous payload.
-std::string CheckAndRenderWitness(const ServeParams& params,
-                                  const TransactionSet& txns,
+std::string CheckAndRenderWitness(const TransactionSet& txns,
                                   const Allocation& alloc,
                                   MetricsRegistry& registry, uint64_t check,
                                   const std::atomic<bool>* stop,
                                   Watchdog* watchdog) {
   CheckOptions options;
-  options.num_threads = params.threads;
   options.metrics = &registry;
   options.cancel = stop;
   options.watchdog = watchdog;
@@ -203,7 +201,6 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
     AdaptControllerOptions adapt_options;
     adapt_options.interval_s = params.adapt_interval_s;
     adapt_options.promotion_budget = params.adapt_budget;
-    adapt_options.check.num_threads = params.threads;
     adapt_options.check.metrics = &registry;
     adapt_options.check.cancel = &stop;
     adapt_options.check.watchdog = &watchdog;
@@ -425,7 +422,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
       Allocation alloc;
       active.Snapshot(&txns, &alloc);
       std::string rendered =
-          CheckAndRenderWitness(params, txns, alloc, registry, check, &stop,
+          CheckAndRenderWitness(txns, alloc, registry, check, &stop,
                                 &watchdog);
       if (!rendered.empty()) {
         std::lock_guard<std::mutex> state_lock(witness.mu);

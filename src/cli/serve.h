@@ -32,8 +32,6 @@ struct ServeParams {
   /// Driver knobs (same semantics as `mvrob simulate`).
   int concurrency = 4;
   uint64_t seed = 0;
-  /// Worker threads for the periodic robustness check.
-  int threads = 1;
   /// MVCC engine worker threads. 1 = the deterministic driver with
   /// epoch-driven version GC; > 1 = the sharded many-core engine
   /// (mvcc/concurrent_engine.h) with per-shard telemetry and epoch GC

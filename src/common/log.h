@@ -59,11 +59,11 @@ struct LogField {
 /// A leveled, thread-safe, JSON-lines structured logger with per-site rate
 /// limiting. Every record is one line of JSON on the sink:
 ///
-///   {"ts_us":1712345678901234,"level":"warn","site":"pool.workers",
-///    "msg":"clamped worker count","fields":{"requested":99,"used":8}}
+///   {"ts_us":1712345678901234,"level":"info","site":"serve.listen",
+///    "msg":"telemetry server up","fields":{"host":"127.0.0.1","port":8080}}
 ///
 /// `site` is a stable dotted tag naming the emitting code location
-/// (e.g. "pool.workers", "serve.listen"); the rate limiter operates per
+/// (e.g. "serve.listen", "watchdog.stall"); the rate limiter operates per
 /// site so one noisy loop cannot drown the log. When records were
 /// suppressed, the site's next emitted record carries a top-level
 /// `"suppressed":<n>` count. See docs/formats.md for the full schema.

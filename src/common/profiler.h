@@ -19,7 +19,7 @@ class MetricsRegistry;
 /// --- Thread role registry -------------------------------------------------
 ///
 /// Every long-lived thread registers itself under a stable dotted role name
-/// ("engine.worker.3", "analyzer.worker.0", "serve.driver", "http", ...).
+/// ("engine.worker.3", "serve.driver", "http", ...).
 /// Registration is what makes a thread visible to the sampling profiler,
 /// the remote stack capture used by /debug/stacks, and the watchdog's
 /// stall dumps. It is cheap (one mutex acquisition per thread lifetime,

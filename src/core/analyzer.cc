@@ -1,11 +1,8 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
-#include <array>
-#include <memory>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/watchdog.h"
 #include "core/mixed_iso_graph.h"
 #include "txn/conflict.h"
@@ -164,8 +161,8 @@ ConstBitSpan RobustnessAnalyzer::RcCandidatesFor(TxnId t1, int k) const {
 
 std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
     const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1,
-    const std::atomic<uint32_t>* best, const std::atomic<bool>* cancel,
-    uint64_t* words_scanned, bool reference_inner) const {
+    const std::atomic<bool>* cancel, uint64_t* words_scanned,
+    bool reference_inner) const {
   const size_t n = txns_.size();
   const uint64_t words_per_row = (n + 63) / 64;
   uint64_t mask_ops = 0;  // Word-wise row operations; flushed on return.
@@ -192,12 +189,8 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
   DenseBitset tm_mask(n);
   for (size_t t2 = pair_mask.FindFirst(); t2 < n;
        t2 = pair_mask.FindNext(t2 + 1)) {
-    if (best != nullptr && t1 >= best->load(std::memory_order_relaxed)) {
-      if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
-      return std::nullopt;  // A lower row already holds a witness.
-    }
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
+      *words_scanned += mask_ops * words_per_row;
       return std::nullopt;  // Caller marks the result cancelled.
     }
     // Tm candidates for this pair: allocation-independent base (ww
@@ -226,11 +219,11 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
           Witness(alloc, t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm),
                   reference_inner);
       if (!chain.has_value()) continue;
-      if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
+      *words_scanned += mask_ops * words_per_row;
       return chain;
     }
   }
-  if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
+  *words_scanned += mask_ops * words_per_row;
   return std::nullopt;
 }
 
@@ -324,6 +317,7 @@ void RecordCheckMetrics(MetricsRegistry* metrics,
   metrics->counter("analyzer.triples_examined").Add(result.triples_examined);
   metrics->counter("analyzer.bitset_words_scanned").Add(words_scanned);
   metrics->counter("analyzer.rows_scanned").Add(rows_scanned);
+  metrics->histogram("analyzer.rows_per_check").Observe(rows_scanned);
   if (result.cancelled) {
     metrics->counter("analyzer.checks_cancelled").Increment();
   } else if (!result.robust) {
@@ -344,9 +338,8 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
     return result;
   }
   PhaseTimer scan_timer(metrics, "analyzer.triple_scan");
-  // One heartbeat per completed row (from whichever thread finished it):
-  // rows complete many times a second on any healthy check, so a silent
-  // wedge inside the scan trips the deadline.
+  // One heartbeat per completed row: rows complete many times a second on
+  // any healthy check, so a silent wedge inside the scan trips the deadline.
   WatchdogScope watch(options.watchdog, "analyzer.triple_scan",
                       std::chrono::seconds(30));
 
@@ -361,108 +354,29 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
   auto cancelled = [cancel] {
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   };
-  const int threads = ThreadPool::ResolveThreads(options.num_threads);
-  if (threads <= 1) {
-    for (TxnId t1 = 0; t1 < n && !cancelled(); ++t1) {
-      std::optional<CounterexampleChain> chain = CheckRow(
-          alloc, ssi_mask, t1, nullptr, cancel,
-          metrics != nullptr ? &words_scanned : nullptr,
-          /*reference_inner=*/true);
-      ++rows_scanned;
-      watch.Heartbeat();
-      if (chain.has_value()) {
-        result.robust = false;
-        result.triples_examined = internal::TriplesUpToWitness(
-            n, chain->t1, chain->t2, chain->tm);
-        result.counterexample = std::move(chain);
-        break;
-      }
+  for (TxnId t1 = 0; t1 < n && !cancelled(); ++t1) {
+    std::optional<CounterexampleChain> chain =
+        CheckRow(alloc, ssi_mask, t1, cancel, &words_scanned,
+                 /*reference_inner=*/true);
+    ++rows_scanned;
+    watch.Heartbeat();
+    if (chain.has_value()) {
+      result.robust = false;
+      result.triples_examined =
+          internal::TriplesUpToWitness(n, chain->t1, chain->t2, chain->tm);
+      result.counterexample = std::move(chain);
+      break;
     }
-    if (cancelled()) {
-      // Partial scan: strip any verdict so nothing downstream trusts it.
-      result = RobustnessResult{};
-      result.cancelled = true;
-    } else if (result.robust) {
-      result.triples_examined = internal::TriplesWhenRobust(n);
-    }
-    if (metrics != nullptr) {
-      metrics->histogram("analyzer.rows_per_thread").Observe(rows_scanned);
-      RecordCheckMetrics(metrics, result, words_scanned, rows_scanned);
-    }
-    return result;
   }
-
-  // Parallel rows with deterministic reduction: `best` tracks the lowest
-  // t1 known to hold a witness (CAS-min). A row only abandons when a
-  // strictly lower row has a witness, so every row below the final winner
-  // completed a full, witness-free scan — making the winner exactly the
-  // sequential answer and the closed-form triple count exact.
-  //
-  // Metrics accounting keeps off the shared cache lines the scan itself
-  // uses: words scanned accumulate per row into one atomic, and per-thread
-  // row counts go into 64 cache-line-padded slots keyed by the dense
-  // thread id (observed as the rows_per_thread work-balance histogram).
-  struct alignas(64) RowSlot {
-    std::atomic<uint64_t> rows{0};
-  };
-  static_assert(sizeof(RowSlot) == 64);
-  std::unique_ptr<std::array<RowSlot, 64>> slots;
-  std::atomic<uint64_t> words_total{0};
-  const bool instrumented = metrics != nullptr;
-  if (instrumented) slots = std::make_unique<std::array<RowSlot, 64>>();
-
-  std::atomic<uint32_t> best{static_cast<uint32_t>(n)};
-  std::vector<std::optional<CounterexampleChain>> rows(n);
-  ThreadPool::Shared().ParallelFor(
-      n, threads,
-      [&](size_t i) {
-        if (i >= best.load(std::memory_order_acquire)) return;
-        if (cancelled()) return;
-        uint64_t row_words = 0;
-        std::optional<CounterexampleChain> chain =
-            CheckRow(alloc, ssi_mask, static_cast<TxnId>(i), &best, cancel,
-                     instrumented ? &row_words : nullptr,
-                     /*reference_inner=*/true);
-        watch.Heartbeat();
-        if (instrumented) {
-          words_total.fetch_add(row_words, std::memory_order_relaxed);
-          (*slots)[MetricsRegistry::CurrentThreadId() % slots->size()]
-              .rows.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!chain.has_value()) return;
-        rows[i] = std::move(chain);
-        uint32_t current = best.load(std::memory_order_acquire);
-        while (i < current &&
-               !best.compare_exchange_weak(current, static_cast<uint32_t>(i),
-                                           std::memory_order_acq_rel)) {
-        }
-      },
-      metrics);
-  uint32_t winner = best.load(std::memory_order_acquire);
   if (cancelled()) {
-    // Some rows were skipped or abandoned; any witness found is not
-    // necessarily the deterministic lowest one, so drop the verdict.
+    // Partial scan: strip any verdict so nothing downstream trusts it.
+    result = RobustnessResult{};
     result.cancelled = true;
-  } else if (winner < n) {
-    std::optional<CounterexampleChain>& chain = rows[winner];
-    result.robust = false;
-    result.triples_examined =
-        internal::TriplesUpToWitness(n, chain->t1, chain->t2, chain->tm);
-    result.counterexample = std::move(chain);
-  } else {
+  } else if (result.robust) {
     result.triples_examined = internal::TriplesWhenRobust(n);
   }
-  if (instrumented) {
-    Histogram& balance = metrics->histogram("analyzer.rows_per_thread");
-    for (const RowSlot& slot : *slots) {
-      uint64_t per_thread = slot.rows.load(std::memory_order_relaxed);
-      if (per_thread == 0) continue;
-      balance.Observe(per_thread);
-      rows_scanned += per_thread;
-    }
-    RecordCheckMetrics(metrics, result,
-                       words_total.load(std::memory_order_relaxed),
-                       rows_scanned);
+  if (metrics != nullptr) {
+    RecordCheckMetrics(metrics, result, words_scanned, rows_scanned);
   }
   return result;
 }
@@ -497,7 +411,7 @@ RobustnessResult RobustnessAnalyzer::CheckChange(
 
   // Row T1 = t: every triple of the row contains t.
   std::optional<CounterexampleChain> chain =
-      CheckRow(alloc, ssi_mask, t, nullptr, cancel, &words_scanned,
+      CheckRow(alloc, ssi_mask, t, cancel, &words_scanned,
                /*reference_inner=*/false);
   ++rows_scanned;
   watch.Heartbeat();
@@ -532,7 +446,6 @@ RobustnessResult RobustnessAnalyzer::CheckChange(
     }
   }
   if (metrics != nullptr) {
-    metrics->histogram("analyzer.rows_per_thread").Observe(rows_scanned);
     RecordCheckMetrics(metrics, result, words_scanned, rows_scanned);
   }
   return result;

@@ -40,11 +40,9 @@ namespace mvrob {
 /// triples_examined — are bit-identical to CheckRobustness
 /// (property-tested).
 ///
-/// Thread safety: Check(alloc, options) with options.num_threads != 1
-/// partitions the t1 rows over a thread pool; the lazy per-t1 caches are
-/// only ever touched by the thread owning that row, so concurrent rows
-/// are race-free. Distinct Check and CheckChange calls must not run
-/// concurrently on the same analyzer from user threads.
+/// Thread safety: Check and CheckChange scan on the calling thread and
+/// fill the lazy per-t1 caches as they go, so calls on one analyzer must
+/// not run concurrently. Distinct analyzers are independent.
 class RobustnessAnalyzer {
  public:
   /// `metrics` (nullable) records the matrix-build phase timers and, as a
@@ -65,10 +63,9 @@ class RobustnessAnalyzer {
   /// Algorithm 1 for one allocation; equivalent to CheckRobustness.
   RobustnessResult Check(const Allocation& alloc) const;
 
-  /// Same, with options.num_threads-way parallelism over the t1 outer
-  /// loop. Deterministic: the lowest (t1, t2, tm) witness wins regardless
-  /// of thread count, and triples_examined follows the audited contract
-  /// of RobustnessResult.
+  /// Same, with cancellation, a watchdog and a metrics sink from
+  /// `options`. The lowest (t1, t2, tm) witness wins, and triples_examined
+  /// follows the audited contract of RobustnessResult.
   RobustnessResult Check(const Allocation& alloc,
                          const CheckOptions& options) const;
 
@@ -88,8 +85,7 @@ class RobustnessAnalyzer {
   /// triples_examined counts the triples containing t in the rows visited
   /// (row t up to its witness, the other rows whole). Cancellation,
   /// watchdog heartbeats (one per row) and the analyzer.* counters follow
-  /// Check; options.num_threads is ignored, the scan is sequential.
-  /// Passing a non-robust `base` gives no meaningful verdict.
+  /// Check. Passing a non-robust `base` gives no meaningful verdict.
   RobustnessResult CheckChange(const Allocation& base, TxnId t,
                                IsolationLevel level,
                                const CheckOptions& options = {}) const;
@@ -122,19 +118,17 @@ class RobustnessAnalyzer {
   ConstBitSpan RcCandidatesFor(TxnId t1, int k) const;
 
   /// Scans one t1 row: returns the lowest-(t2, tm) witness chain of the
-  /// row, or nullopt. When `best` is non-null the scan abandons early
-  /// once a lower t1 row is known to have a witness; when `cancel` is
-  /// non-null and raised, the scan abandons at the next t2 boundary
-  /// (Check maps this to a cancelled result). When `words_scanned` is
-  /// non-null, the number of 64-bit words touched by the row's word-wise
-  /// mask operations is accumulated into it.
+  /// row, or nullopt. When `cancel` is non-null and raised, the scan
+  /// abandons at the next t2 boundary (Check maps this to a cancelled
+  /// result). The number of 64-bit words touched by the row's word-wise
+  /// mask operations is added to `words_scanned`.
   /// `reference_inner` picks how a witness's inner chain is recovered:
   /// MixedIsoGraph (Check, whose counterexamples match CheckRobustness) or
   /// FindInnerChainWordwise (CheckChange).
   std::optional<CounterexampleChain> CheckRow(
       const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1,
-      const std::atomic<uint32_t>* best, const std::atomic<bool>* cancel,
-      uint64_t* words_scanned, bool reference_inner) const;
+      const std::atomic<bool>* cancel, uint64_t* words_scanned,
+      bool reference_inner) const;
 
   /// CheckChange's scan of an SSI row t1 != t: the triples with T2 = t,
   /// then those with Tm = t. Words touched are added to `words_scanned`.
@@ -182,8 +176,7 @@ class RobustnessAnalyzer {
   std::vector<int> first_rw_idx_;
   std::vector<int> last_conflict_idx_;
 
-  // Lazy per-t1 caches. Slot t1 is only touched by the (single) thread
-  // scanning row t1, and pool joins order successive Check calls.
+  // Lazy per-t1 caches, filled by the first scan that needs them.
   mutable std::vector<std::optional<PivotCache>> pivot_cache_;
   mutable std::vector<std::vector<std::pair<int, DenseBitset>>> rc_cache_;
 };

@@ -49,8 +49,8 @@ class IncrementalAllocator {
   /// Robustness checks spent so far (for the savings benchmark).
   uint64_t checks_performed() const { return checks_performed_; }
 
-  /// Options forwarded to every robustness check (e.g. num_threads);
-  /// the maintained allocation is identical for any setting.
+  /// Options forwarded to every robustness check (e.g. metrics); the
+  /// maintained allocation is identical for any setting.
   void set_check_options(const CheckOptions& options) { options_ = options; }
   const CheckOptions& check_options() const { return options_; }
 

@@ -26,8 +26,7 @@ struct OptimalAllocationResult {
 /// Proposition 4.1(2): the outcome does not depend on the iteration order.
 ///
 /// `options` reaches every robustness check: its metrics, cancel flag and
-/// watchdog. The checks are sequential delta checks, so num_threads does
-/// not change the work or the allocation.
+/// watchdog.
 OptimalAllocationResult ComputeOptimalAllocation(const TransactionSet& txns,
                                                  const CheckOptions& options = {});
 

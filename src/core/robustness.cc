@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/analyzer.h"
 
 namespace mvrob {
@@ -110,10 +109,8 @@ uint64_t TriplesUpToWitness(size_t n, TxnId t1, TxnId t2, TxnId tm) {
 
 namespace {
 
-// The per-t1-row body shared by the sequential and parallel enumerators:
-// collects up to `limit` chains of the row in ascending (t2, tm) order.
-// All per-triple conditions are row-local, so rows can run on any thread
-// with identical output.
+// FindAllCounterexamples' scan of one t1 row: appends the row's chains in
+// ascending (t2, tm) order until `chains` holds `limit`.
 void CollectRowCounterexamples(const TransactionSet& txns,
                                const Allocation& alloc,
                                const BitMatrix& conflict, TxnId t1,
@@ -150,40 +147,13 @@ void CollectRowCounterexamples(const TransactionSet& txns,
 }  // namespace
 
 std::vector<CounterexampleChain> FindAllCounterexamples(
-    const TransactionSet& txns, const Allocation& alloc, size_t limit,
-    const CheckOptions& options) {
+    const TransactionSet& txns, const Allocation& alloc, size_t limit) {
   std::vector<CounterexampleChain> chains;
-  if (limit == 0) return chains;
-  const size_t n = txns.size();
   // One conflict matrix shared across every candidate triple's
   // mixed-iso-graph, instead of O(n^2) TxnsConflict recomputation each.
   const BitMatrix conflict = BuildConflictMatrix(txns);
-
-  const int threads = ThreadPool::ResolveThreads(options.num_threads);
-  if (threads <= 1 || n < 2) {
-    for (TxnId t1 = 0; t1 < n && chains.size() < limit; ++t1) {
-      std::vector<CounterexampleChain> row;
-      CollectRowCounterexamples(txns, alloc, conflict, t1,
-                                limit - chains.size(), &row);
-      for (CounterexampleChain& chain : row) {
-        chains.push_back(std::move(chain));
-      }
-    }
-    return chains;
-  }
-
-  // Rows are independent; collect up to `limit` per row, then concatenate
-  // in t1 order and truncate — byte-identical to the sequential scan.
-  std::vector<std::vector<CounterexampleChain>> rows(n);
-  ThreadPool::Shared().ParallelFor(n, threads, [&](size_t t1) {
-    CollectRowCounterexamples(txns, alloc, conflict,
-                              static_cast<TxnId>(t1), limit, &rows[t1]);
-  });
-  for (std::vector<CounterexampleChain>& row : rows) {
-    for (CounterexampleChain& chain : row) {
-      if (chains.size() >= limit) return chains;
-      chains.push_back(std::move(chain));
-    }
+  for (TxnId t1 = 0; t1 < txns.size() && chains.size() < limit; ++t1) {
+    CollectRowCounterexamples(txns, alloc, conflict, t1, limit, &chains);
   }
   return chains;
 }

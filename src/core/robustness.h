@@ -52,8 +52,8 @@ struct RobustnessResult {
   /// equals the number of triples (t2 != t1, tm != t1) that the canonical
   /// sequential scan order (t1 outer, t2 middle, tm inner, each ascending)
   /// visits up to and including the winning triple — or all n(n-1)^2 of
-  /// them when robust. Every checker (reference, bitset analyzer,
-  /// parallel) reports the identical value for the identical verdict; see
+  /// them when robust. Every full checker (reference, bitset analyzer)
+  /// reports the identical value for the identical verdict; see
   /// internal::TriplesWhenRobust / internal::TriplesUpToWitness.
   uint64_t triples_examined = 0;
   /// True when CheckOptions::cancel was raised before the scan completed.
@@ -65,16 +65,10 @@ struct RobustnessResult {
 
 /// Tuning knobs threaded from the CLI/tools down to the checkers.
 struct CheckOptions {
-  /// Worker threads for the t1 outer loop. 1 = sequential (the default);
-  /// values <= 0 mean "all hardware threads". Results are deterministic
-  /// and identical for every thread count: the lowest (t1, t2, tm)
-  /// counterexample wins, and triples_examined follows the audited
-  /// contract above.
-  int num_threads = 1;
   /// Optional observability sink (common/metrics.h): phase timers and
   /// work counters are recorded here. Null (the default) disables all
   /// instrumentation; collection never changes results — asserted by the
-  /// parallel differential tests.
+  /// analyzer differential tests.
   MetricsRegistry* metrics = nullptr;
   /// Optional cooperative cancellation flag, polled inside the triple
   /// scan. When it becomes true mid-check, CheckRobustness(txns, alloc,
@@ -97,15 +91,14 @@ struct CheckOptions {
 ///
 /// This is the *reference* implementation: it re-derives operation-level
 /// facts per triple and is deliberately close to the paper's pseudocode.
-/// Production callers that check repeatedly or want parallelism should use
-/// RobustnessAnalyzer (or the CheckOptions overload below, which builds
-/// one internally).
+/// Production callers that check repeatedly should use RobustnessAnalyzer
+/// (or the CheckOptions overload below, which builds one internally).
 RobustnessResult CheckRobustness(const TransactionSet& txns,
                                  const Allocation& alloc);
 
 /// Production entry point: identical verdict, counterexample, and
 /// triples_examined as the reference above, computed on the bitset
-/// analyzer with `options.num_threads`-way parallelism.
+/// analyzer.
 RobustnessResult CheckRobustness(const TransactionSet& txns,
                                  const Allocation& alloc,
                                  const CheckOptions& options);
@@ -114,12 +107,9 @@ RobustnessResult CheckRobustness(const TransactionSet& txns,
 /// witnesses non-robustness — up to `limit`, in ascending (t1, t2, tm)
 /// order. Empty iff robust. Useful for diagnostics: a workload usually
 /// breaks in several places at once, and fixing only the first reported
-/// chain rarely suffices. With options.num_threads > 1 the t1 rows are
-/// scanned in parallel; the returned chains (order included) are identical
-/// to the sequential scan.
+/// chain rarely suffices.
 std::vector<CounterexampleChain> FindAllCounterexamples(
-    const TransactionSet& txns, const Allocation& alloc, size_t limit = 32,
-    const CheckOptions& options = {});
+    const TransactionSet& txns, const Allocation& alloc, size_t limit = 32);
 
 namespace internal {
 
@@ -131,8 +121,8 @@ bool FindChainOperations(const TransactionSet& txns, const Allocation& alloc,
                          TxnId t1, TxnId t2, TxnId tm,
                          CounterexampleChain* chain);
 
-/// The audited triples_examined contract, in closed form (so sequential,
-/// bitset-masked, and parallel scans all report the same number without
+/// The audited triples_examined contract, in closed form (so the
+/// reference and the bitset-masked scans report the same number without
 /// per-iteration bookkeeping):
 ///  - robust run: every triple with t2 != t1, tm != t1 → n(n-1)^2;
 ///  - witness at (t1, t2, tm): triples visited by the canonical ascending

@@ -302,23 +302,21 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
     std::unique_lock<std::mutex> commit_lock(commit_mu_);
     Timestamp ts = clock_.load(std::memory_order_relaxed) + 1;
     uint64_t commit_step = ts << 32;
-    if (record.level == IsolationLevel::kSSI &&
-        SsiTracker::WouldCompleteDangerousStructure(ssi_committed_, slot.id,
-                                                    record, ts, commit_step)) {
-      ConflictAttribution why{
+    SsiConflictDetail detail;
+    if (record.level == IsolationLevel::kSSI) {
+      // The candidate joins the registry for the test and stays there if
+      // it commits; the registry only changes under the commit mutex.
+      ssi_committed_.push_back(SsiMember{slot.id, &record, ts, commit_step});
+      detail = SsiTracker::FindDangerousStructure(ssi_committed_, slot.id);
+    }
+    if (detail.found) {
+      ssi_committed_.pop_back();
+      const ConflictAttribution why{
+          .conflicting_session = detail.peer,
+          .object = detail.object,
+          .version_ts = detail.version_ts,
           .type = ConflictType::kRW,
           .cause = TraceAbortCause::kSsiDangerousStructure};
-      if (!observers_.empty()) {
-        // The rw-edge neighbor costs a second scan, only paid when
-        // watched. The registry is only mutated under the commit mutex,
-        // so the scan must run before unlocking.
-        const SsiConflictDetail detail =
-            SsiTracker::FindDangerousStructureDetail(ssi_committed_, slot.id,
-                                                     record, ts, commit_step);
-        why.conflicting_session = detail.peer;
-        why.object = detail.object;
-        why.version_ts = detail.version_ts;
-      }
       commit_lock.unlock();
       AbortInternal(slot, AbortReason::kSsiDangerousStructure, why);
       result.status = StepStatus::kAborted;
@@ -345,11 +343,9 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
     // samples clock >= ts is guaranteed to see all of this commit's
     // versions in the chains.
     clock_.store(ts, std::memory_order_seq_cst);
-    if (record.level == IsolationLevel::kSSI) {
-      ssi_committed_.emplace_back(slot.id, &record);
-      if (ssi_committed_.size() >= kSsiPruneThreshold) {
-        PruneSsiRegistryLocked();
-      }
+    if (record.level == IsolationLevel::kSSI &&
+        ssi_committed_.size() >= kSsiPruneThreshold) {
+      PruneSsiRegistryLocked();
     }
     commit_lock.unlock();
     // Release row locks only after the clock publish: a writer that finds
@@ -506,11 +502,11 @@ void ConcurrentEngine::PruneSsiRegistryLocked() {
   }
   uint64_t m = min_ts << 32;
 
-  std::vector<std::pair<SessionId, const SessionRecord*>> kept;
+  std::vector<SsiMember> kept;
   kept.reserve(ssi_committed_.size());
   std::sort(ssi_committed_.begin(), ssi_committed_.end(),
-            [](const auto& a, const auto& b) {
-              return a.second->first_step < b.second->first_step;
+            [](const SsiMember& a, const SsiMember& b) {
+              return a.record->first_step < b.record->first_step;
             });
   size_t component_begin = 0;
   uint64_t component_end = 0;
@@ -522,7 +518,7 @@ void ConcurrentEngine::PruneSsiRegistryLocked() {
     }
   };
   for (size_t i = 0; i < ssi_committed_.size(); ++i) {
-    const SessionRecord* record = ssi_committed_[i].second;
+    const SessionRecord* record = ssi_committed_[i].record;
     // first_step == 0 (a committed SSI session with no operations) is
     // never concurrent with anything; drop it outright.
     if (record->first_step == 0) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mvcc/engine.h"
+#include "mvcc/ssi_tracker.h"
 
 namespace mvrob {
 
@@ -188,7 +189,7 @@ class ConcurrentEngine {
   std::mutex commit_mu_;
   /// Committed SSI sessions still relevant for dangerous structures;
   /// guarded by commit_mu_.
-  std::vector<std::pair<SessionId, const SessionRecord*>> ssi_committed_;
+  std::vector<SsiMember> ssi_committed_;
 
   std::atomic<uint64_t> writer_commits_{0};
   std::atomic<bool> gc_running_{false};

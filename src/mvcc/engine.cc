@@ -148,32 +148,35 @@ CommitResult Engine::Commit(SessionId session) {
   assert(record.state == TxnState::kActive);
   CommitResult result;
 
-  bool ssi_abort =
-      record.level == IsolationLevel::kSSI &&
-      (options_.ssi_mode == SsiMode::kExact
-           ? SsiTracker::WouldCompleteDangerousStructure(
-                 sessions_, session, clock_ + 1, step_ + 1)
-           : SsiTracker::WouldCreatePivot(sessions_, session, clock_ + 1,
-                                          step_ + 1));
+  bool ssi_abort = false;
+  SsiConflictDetail detail;
+  if (record.level == IsolationLevel::kSSI) {
+    const Timestamp ts = clock_ + 1;
+    const uint64_t step = step_ + 1;
+    const bool exact = options_.ssi_mode == SsiMode::kExact;
+    ssi_abort =
+        exact || SsiTracker::WouldCreatePivot(sessions_, session, ts, step);
+    // The exact scan is the verdict in exact mode and attributes the
+    // abort. After a conservative abort it runs only when someone is
+    // watching; found == false there marks a false positive.
+    if (ssi_abort &&
+        (exact || m_ssi_false_positives_ != nullptr || !observers_.empty())) {
+      detail = SsiTracker::FindDangerousStructure(
+          SsiTracker::CommittedMembers(sessions_, session, ts, step), session);
+      if (exact) {
+        ssi_abort = detail.found;
+      } else if (!detail.found && m_ssi_false_positives_ != nullptr) {
+        m_ssi_false_positives_->Increment();
+      }
+    }
+  }
   if (ssi_abort) {
-    // Conservative abort the exact check disagrees with = false positive.
-    // Only evaluated when someone is watching; the verdict is unchanged.
-    if (m_ssi_false_positives_ != nullptr &&
-        options_.ssi_mode == SsiMode::kConservative &&
-        !SsiTracker::WouldCompleteDangerousStructure(sessions_, session,
-                                                     clock_ + 1, step_ + 1)) {
-      m_ssi_false_positives_->Increment();
-    }
-    ConflictAttribution why{.type = ConflictType::kRW,
-                            .cause = TraceAbortCause::kSsiDangerousStructure};
-    if (!observers_.empty()) {
-      // The rw-edge neighbor costs a second scan; only paid when watched.
-      const SsiConflictDetail detail = SsiTracker::FindDangerousStructureDetail(
-          sessions_, session, clock_ + 1, step_ + 1);
-      why.conflicting_session = detail.peer;
-      why.object = detail.object;
-      why.version_ts = detail.version_ts;
-    }
+    const ConflictAttribution why{
+        .conflicting_session = detail.peer,
+        .object = detail.object,
+        .version_ts = detail.version_ts,
+        .type = ConflictType::kRW,
+        .cause = TraceAbortCause::kSsiDangerousStructure};
     AbortInternal(session, AbortReason::kSsiDangerousStructure, why);
     result.status = StepStatus::kAborted;
     result.abort_reason = AbortReason::kSsiDangerousStructure;

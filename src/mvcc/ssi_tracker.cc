@@ -5,15 +5,7 @@
 namespace mvrob {
 namespace {
 
-// View of a session with the candidate's hypothetical commit applied.
-struct MemberView {
-  SessionId id = kInvalidSessionId;
-  const SessionRecord* record = nullptr;
-  Timestamp commit_ts = 0;
-  uint64_t commit_step = 0;
-};
-
-bool Concurrent(const MemberView& a, const MemberView& b) {
+bool Concurrent(const SsiMember& a, const SsiMember& b) {
   if (a.record->first_step == 0 || b.record->first_step == 0) return false;
   return a.record->first_step < b.commit_step &&
          b.record->first_step < a.commit_step;
@@ -23,7 +15,7 @@ bool Concurrent(const MemberView& a, const MemberView& b) {
 // the version b writes. All writes of b install at b.commit_ts; a read of
 // a's own buffered write is treated as reading a's own version (installed
 // at a.commit_ts).
-bool RwAntiEdge(const MemberView& a, const MemberView& b,
+bool RwAntiEdge(const SsiMember& a, const SsiMember& b,
                 ObjectId* edge_object = nullptr,
                 Timestamp* edge_version_ts = nullptr) {
   if (a.id == b.id) return false;
@@ -45,7 +37,7 @@ bool RwAntiEdge(const MemberView& a, const MemberView& b,
 // Potential rw-antidependency for the conservative mode: a read by `a` of
 // an object `b` writes, where `a` did not observe `b`'s version —
 // uncommitted writes count (the edge will materialize if b commits).
-bool PotentialRwAntiEdge(const MemberView& a, const MemberView& b) {
+bool PotentialRwAntiEdge(const SsiMember& a, const SsiMember& b) {
   if (a.id == b.id) return false;
   for (const SessionReadRecord& read : a.record->reads) {
     if (!b.record->write_buffer.contains(read.object)) continue;
@@ -54,18 +46,54 @@ bool PotentialRwAntiEdge(const MemberView& a, const MemberView& b) {
   return false;
 }
 
+// The SSI members of `sessions`: committed ones, the candidate with its
+// hypothetical commit, and — for the conservative check — active ones as
+// not yet committed.
+std::vector<SsiMember> Members(const std::vector<SessionRecord>& sessions,
+                               SessionId candidate,
+                               Timestamp candidate_commit_ts,
+                               uint64_t candidate_commit_step,
+                               bool with_active) {
+  constexpr Timestamp kInfTs = ~Timestamp{0};
+  constexpr uint64_t kInfStep = ~uint64_t{0};
+  std::vector<SsiMember> members;
+  for (SessionId id = 0; id < sessions.size(); ++id) {
+    const SessionRecord& record = sessions[id];
+    if (record.level != IsolationLevel::kSSI) continue;
+    if (id == candidate) {
+      members.push_back(
+          SsiMember{id, &record, candidate_commit_ts, candidate_commit_step});
+    } else if (record.state == TxnState::kCommitted) {
+      members.push_back(
+          SsiMember{id, &record, record.commit_ts, record.commit_step});
+    } else if (with_active && record.state == TxnState::kActive) {
+      members.push_back(SsiMember{id, &record, kInfTs, kInfStep});
+    }
+  }
+  return members;
+}
+
+}  // namespace
+
+std::vector<SsiMember> SsiTracker::CommittedMembers(
+    const std::vector<SessionRecord>& sessions, SessionId candidate,
+    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
+  return Members(sessions, candidate, candidate_commit_ts,
+                 candidate_commit_step, /*with_active=*/false);
+}
+
 // A structure completed by this commit involves the candidate (the commit
 // is the last event of the three transactions), but scanning all triples
 // keeps the check simple and exact; the early concurrency filters keep it
 // cheap in practice.
-bool DangerousStructureAmong(const std::vector<MemberView>& members,
-                             SessionId candidate,
-                             SsiConflictDetail* detail = nullptr) {
-  for (const MemberView& t1 : members) {
-    for (const MemberView& t2 : members) {
+SsiConflictDetail SsiTracker::FindDangerousStructure(
+    const std::vector<SsiMember>& members, SessionId candidate) {
+  SsiConflictDetail detail;
+  for (const SsiMember& t1 : members) {
+    for (const SsiMember& t2 : members) {
       if (t2.id == t1.id || !Concurrent(t1, t2)) continue;
       if (!(t2.commit_ts > 0) || !RwAntiEdge(t1, t2)) continue;
-      for (const MemberView& t3 : members) {
+      for (const SsiMember& t3 : members) {
         if (t3.id == t2.id || !Concurrent(t2, t3)) continue;
         if (t1.id != candidate && t2.id != candidate && t3.id != candidate) {
           continue;
@@ -74,115 +102,24 @@ bool DangerousStructureAmong(const std::vector<MemberView>& members,
         // C3 < C2.
         bool c3_le_c1 = t3.id == t1.id || t3.commit_ts < t1.commit_ts;
         if (!c3_le_c1 || !(t3.commit_ts < t2.commit_ts)) continue;
-        if (RwAntiEdge(t2, t3)) {
-          if (detail != nullptr) {
-            // Attribute the rw edge adjacent to the candidate: its peer on
-            // that edge and the edge's object/version.
-            detail->found = true;
-            if (candidate == t2.id) {
-              detail->peer = t1.id;
-              RwAntiEdge(t1, t2, &detail->object, &detail->version_ts);
-            } else if (candidate == t1.id) {
-              detail->peer = t2.id;
-              RwAntiEdge(t1, t2, &detail->object, &detail->version_ts);
-            } else {
-              detail->peer = t2.id;
-              RwAntiEdge(t2, t3, &detail->object, &detail->version_ts);
-            }
-          }
-          return true;
+        if (!RwAntiEdge(t2, t3)) continue;
+        // Attribute the rw edge adjacent to the candidate: its peer on
+        // that edge and the edge's object/version.
+        detail.found = true;
+        if (candidate == t2.id) {
+          detail.peer = t1.id;
+          RwAntiEdge(t1, t2, &detail.object, &detail.version_ts);
+        } else if (candidate == t1.id) {
+          detail.peer = t2.id;
+          RwAntiEdge(t1, t2, &detail.object, &detail.version_ts);
+        } else {
+          detail.peer = t2.id;
+          RwAntiEdge(t2, t3, &detail.object, &detail.version_ts);
         }
+        return detail;
       }
     }
   }
-  return false;
-}
-
-}  // namespace
-
-bool SsiTracker::WouldCompleteDangerousStructure(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  // Member pool: committed SSI sessions plus the hypothetically committed
-  // candidate.
-  std::vector<MemberView> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          MemberView{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          MemberView{id, &record, record.commit_ts, record.commit_step});
-    }
-  }
-  return DangerousStructureAmong(members, candidate);
-}
-
-bool SsiTracker::WouldCompleteDangerousStructure(
-    const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-    SessionId candidate_id, const SessionRecord& candidate_record,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  std::vector<MemberView> members;
-  members.reserve(committed.size() + 1);
-  for (const auto& [id, record] : committed) {
-    members.push_back(
-        MemberView{id, record, record->commit_ts, record->commit_step});
-  }
-  members.push_back(MemberView{candidate_id, &candidate_record,
-                               candidate_commit_ts, candidate_commit_step});
-  return DangerousStructureAmong(members, candidate_id);
-}
-
-namespace {
-
-// Shared member-pool construction for the dense-session overload.
-std::vector<MemberView> CommittedSsiMembers(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  std::vector<MemberView> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          MemberView{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          MemberView{id, &record, record.commit_ts, record.commit_step});
-    }
-  }
-  return members;
-}
-
-}  // namespace
-
-SsiConflictDetail SsiTracker::FindDangerousStructureDetail(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  SsiConflictDetail detail;
-  DangerousStructureAmong(
-      CommittedSsiMembers(sessions, candidate, candidate_commit_ts,
-                          candidate_commit_step),
-      candidate, &detail);
-  return detail;
-}
-
-SsiConflictDetail SsiTracker::FindDangerousStructureDetail(
-    const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-    SessionId candidate_id, const SessionRecord& candidate_record,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  std::vector<MemberView> members;
-  members.reserve(committed.size() + 1);
-  for (const auto& [id, record] : committed) {
-    members.push_back(
-        MemberView{id, record, record->commit_ts, record->commit_step});
-  }
-  members.push_back(MemberView{candidate_id, &candidate_record,
-                               candidate_commit_ts, candidate_commit_step});
-  SsiConflictDetail detail;
-  DangerousStructureAmong(members, candidate_id, &detail);
   return detail;
 }
 
@@ -190,27 +127,14 @@ bool SsiTracker::WouldCreatePivot(const std::vector<SessionRecord>& sessions,
                                   SessionId candidate,
                                   Timestamp candidate_commit_ts,
                                   uint64_t candidate_commit_step) {
-  constexpr Timestamp kInfTs = ~Timestamp{0};
-  constexpr uint64_t kInfStep = ~uint64_t{0};
-  std::vector<MemberView> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          MemberView{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          MemberView{id, &record, record.commit_ts, record.commit_step});
-    } else if (record.state == TxnState::kActive) {
-      members.push_back(MemberView{id, &record, kInfTs, kInfStep});
-    }
-  }
-  for (const MemberView& pivot : members) {
-    for (const MemberView& in : members) {
+  const std::vector<SsiMember> members =
+      Members(sessions, candidate, candidate_commit_ts, candidate_commit_step,
+              /*with_active=*/true);
+  for (const SsiMember& pivot : members) {
+    for (const SsiMember& in : members) {
       if (in.id == pivot.id || !Concurrent(in, pivot)) continue;
       if (!PotentialRwAntiEdge(in, pivot)) continue;
-      for (const MemberView& out : members) {
+      for (const SsiMember& out : members) {
         if (out.id == pivot.id || !Concurrent(pivot, out)) continue;
         if (pivot.id != candidate && in.id != candidate &&
             out.id != candidate) {

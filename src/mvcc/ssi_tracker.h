@@ -32,38 +32,32 @@ struct SsiConflictDetail {
   bool found = false;
 };
 
+/// A session as the SSI test sees it: its record with the commit timestamp
+/// and step it has — or, for the committing candidate, would have.
+struct SsiMember {
+  SessionId id = kInvalidSessionId;
+  const SessionRecord* record = nullptr;
+  Timestamp commit_ts = 0;
+  uint64_t commit_step = 0;
+};
+
 class SsiTracker {
  public:
-  /// True iff committing `candidate` (with the given hypothetical commit
-  /// timestamp and step) completes a dangerous structure whose other
-  /// members are already-committed SSI sessions.
-  static bool WouldCompleteDangerousStructure(
+  /// The deterministic engine's members: the committed SSI sessions of
+  /// `sessions` and the SSI candidate with its hypothetical commit, in
+  /// session-id order.
+  static std::vector<SsiMember> CommittedMembers(
       const std::vector<SessionRecord>& sessions, SessionId candidate,
       Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
 
-  /// The same exact check against an explicit registry of
-  /// already-committed SSI sessions — the concurrent engine's, which
-  /// cannot hand out a dense session vector — with the (active) candidate
-  /// supplied out of line. The referenced records must not change while
-  /// the check runs; the concurrent engine guarantees this by publishing
-  /// registry entries only after commit under its commit mutex.
-  static bool WouldCompleteDangerousStructure(
-      const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-      SessionId candidate_id, const SessionRecord& candidate_record,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
-
-  /// Attribution companions to the two exact checks above, for the trace
-  /// layer: re-run the search and report the rw-edge neighbor of the
-  /// candidate in the first dangerous structure found. Engines call these
-  /// only on the (rare) abort path of a traced run, so the extra scan is
-  /// pay-for-what-you-sample.
-  static SsiConflictDetail FindDangerousStructureDetail(
-      const std::vector<SessionRecord>& sessions, SessionId candidate,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
-  static SsiConflictDetail FindDangerousStructureDetail(
-      const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-      SessionId candidate_id, const SessionRecord& candidate_record,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
+  /// The exact commit test shared by both engines. `members` holds the
+  /// committed SSI sessions and the candidate with its hypothetical
+  /// commit. `found` is true iff committing the candidate completes a
+  /// dangerous structure among them; the other fields then attribute the
+  /// first structure in member order. The referenced records must not
+  /// change while the check runs.
+  static SsiConflictDetail FindDangerousStructure(
+      const std::vector<SsiMember>& members, SessionId candidate);
 
   /// Conservative flag check (SsiMode::kConservative): true iff, treating
   /// `candidate` as committed, some SSI session (committed, active, or the

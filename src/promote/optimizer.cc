@@ -54,8 +54,7 @@ std::vector<OpRef> FrontierCandidates(const PromotionRewrite& rewrite,
     for (IsolationLevel lower : LevelsBelow(cur_alloc.level(t))) {
       if (Cancelled(options)) return out;
       std::vector<CounterexampleChain> chains = FindAllCounterexamples(
-          cur, cur_alloc.With(t, lower), options.witnesses_per_round,
-          options.check);
+          cur, cur_alloc.With(t, lower), options.witnesses_per_round);
       ++plan.robustness_checks;
       for (const CounterexampleChain& chain : chains) {
         for (OpRef ref : CandidatesFromChain(cur, chain)) {
@@ -283,7 +282,7 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
     }
     std::vector<CounterexampleChain> chains =
         FindAllCounterexamples(current.promoted, target,
-                               options.witnesses_per_round, options.check);
+                               options.witnesses_per_round);
     ++plan.robustness_checks;
     if (Cancelled(options)) {
       // An interrupted scan can return an empty chain list without the

@@ -13,9 +13,9 @@
 namespace mvrob {
 
 /// Tuning knobs for the promotion search. `check` is forwarded to every
-/// robustness check and Algorithm 2 run, so the search composes with the
-/// parallel engine (num_threads), the observability layer (metrics) and
-/// cooperative cancellation (cancel) exactly like the other subsystems.
+/// Algorithm 2 run, so the search composes with the observability layer
+/// (metrics) and cooperative cancellation (cancel) exactly like the other
+/// subsystems.
 struct PromoteOptions {
   CheckOptions check;
   /// Promotion budget: the plan never promotes more reads than this.

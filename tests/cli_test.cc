@@ -264,8 +264,6 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
        "--concurrency"},
       {{"simulate", "--txns", kWriteSkew, "--seed", "18446744073709551616"},
        "--seed"},
-      {{"check", "--txns", kWriteSkew, "--threads", "2x"}, "--threads"},
-      {{"check", "--txns", kWriteSkew, "--threads", "-5"}, "--threads"},
       {{"check", "--workload", "synthetic:n=12x"}, "n=12x"},
       {{"check", "--workload", "tpcc:w="}, "empty"},
   };
@@ -280,28 +278,27 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
 // The flags each command reads, and the global ones every command takes.
 const std::map<std::string, std::set<std::string>> kCommandFlags = {
     {"check", {"txns", "workload", "alloc", "default", "json", "witness-json",
-               "witness-dot", "threads"}},
+               "witness-dot"}},
     {"allocate", {"txns", "workload", "rcsi", "explain", "pin", "atmost",
-                  "json", "witness-json", "witness-dot", "threads"}},
+                  "json", "witness-json", "witness-dot"}},
     {"explore", {"txns", "workload", "alloc", "default", "schedule", "dot",
                  "timeline"}},
     {"census", {"txns", "workload", "alloc", "default", "max"}},
     {"templates", {"templates", "rcsi", "explain", "witness-json", "seed",
                    "validate-runs", "no-constraints", "copies",
                    "max-instances", "promote"}},
-    {"report", {"txns", "workload", "threads"}},
+    {"report", {"txns", "workload"}},
     {"simulate", {"txns", "workload", "alloc", "default", "runs",
                   "concurrency", "seed", "engine-threads", "engine-shards",
                   "record-schedule", "record-trace", "trace-sample"}},
-    {"validate", {"txns", "workload", "alloc", "default", "threads", "runs",
+    {"validate", {"txns", "workload", "alloc", "default", "runs",
                   "concurrency", "seed", "engine-threads", "engine-shards"}},
     {"crosscheck", {"txns", "workload", "alloc", "default"}},
     {"shell", {"witness-json", "witness-dot"}},
-    {"promote", {"txns", "workload", "default", "threads", "json",
+    {"promote", {"txns", "workload", "default", "json",
                  "concurrency", "seed", "budget", "target", "promotion-json",
                  "validate-runs", "weight-si", "weight-ssi"}},
-    {"serve", {"txns", "workload", "alloc", "default", "threads",
-               "concurrency", "seed", "engine-threads", "engine-shards",
+    {"serve", {"txns", "workload", "alloc", "default", "concurrency", "seed", "engine-threads", "engine-shards",
                "trace-sample", "port", "host", "port-file",
                "witness-interval", "duration", "window", "adapt",
                "adapt-interval", "adapt-budget"}},
@@ -347,10 +344,13 @@ TEST(CliTest, EveryCommandChecksFlagsAgainstItsTable) {
           << foreign.err;
     }
 
-    CliResult unknown = RunTool({command, "--bogus", "3"});
-    EXPECT_EQ(unknown.code, 1) << command;
-    EXPECT_NE(unknown.err.find("unknown flag --bogus"), std::string::npos)
-        << unknown.err;
+    // The analyzer is single-threaded, so --threads is no flag at all.
+    for (std::string flag : {"--bogus", "--threads"}) {
+      CliResult unknown = RunTool({command, flag, "3"});
+      EXPECT_EQ(unknown.code, 1) << command << " " << flag;
+      EXPECT_NE(unknown.err.find("unknown flag " + flag), std::string::npos)
+          << unknown.err;
+    }
 
     CliResult repeated = RunTool(
         {command, "--log-level", "warn", "--log-level", "warn"});
@@ -378,6 +378,9 @@ TEST(CliTest, RejectsConflictingAndRepeatedFlags) {
       {{"check", "--txns", kWriteSkew, "--json", "--json"},
        "--json is given more than once"},
       {{"check", "--txns", "--json"}, "--txns needs a value"},
+      {{"check", "--txns", kWriteSkew, "--profile-out", "p.folded",
+        "--profile-hz", "0"},
+       "--profile-out needs --profile-hz > 0"},
   };
   for (const Case& c : cases) {
     CliResult result = RunTool(c.args);

@@ -1,19 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <limits>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/bitset.h"
 #include "common/json.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace mvrob {
 namespace {
@@ -145,59 +139,6 @@ TEST(ParseIntTest, ErrorMessagesNameTheInput) {
   EXPECT_NE(status.message().find("12x"), std::string::npos);
   status = ParseInt64("99", 1, 10).status();
   EXPECT_NE(status.message().find("99"), std::string::npos);
-}
-
-TEST(WorkersFromEnvTest, UnsetUsesHardwareDefaultSilently) {
-  std::ostringstream warn;
-  Logger logger(&warn);
-  int hardware =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  EXPECT_EQ(ThreadPool::WorkersFromEnv(nullptr, logger),
-            std::max(0, hardware - 1));
-  EXPECT_TRUE(warn.str().empty());
-}
-
-TEST(WorkersFromEnvTest, InvalidInputWarnsAndFallsBack) {
-  int hardware =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  for (const char* bad : {"junk", "", "12x", "1.5"}) {
-    std::ostringstream warn;
-    Logger logger(&warn);
-    EXPECT_EQ(ThreadPool::WorkersFromEnv(bad, logger),
-              std::max(0, hardware - 1))
-        << "'" << bad << "'";
-    EXPECT_NE(warn.str().find("MVROB_POOL_WORKERS"), std::string::npos)
-        << "'" << bad << "'";
-    EXPECT_NE(warn.str().find("\"site\":\"pool.workers\""),
-              std::string::npos)
-        << "'" << bad << "'";
-  }
-}
-
-TEST(WorkersFromEnvTest, OutOfRangeClampsWithWarning) {
-  std::ostringstream warn;
-  Logger logger(&warn);
-  EXPECT_EQ(ThreadPool::WorkersFromEnv("-3", logger), 1);
-  EXPECT_NE(warn.str().find("MVROB_POOL_WORKERS"), std::string::npos);
-
-  std::ostringstream warn_zero;
-  Logger logger_zero(&warn_zero);
-  EXPECT_EQ(ThreadPool::WorkersFromEnv("0", logger_zero), 1);
-  EXPECT_FALSE(warn_zero.str().empty());
-
-  int hardware =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  std::ostringstream warn_big;
-  Logger logger_big(&warn_big);
-  EXPECT_EQ(ThreadPool::WorkersFromEnv("999999", logger_big), hardware);
-  EXPECT_FALSE(warn_big.str().empty());
-}
-
-TEST(WorkersFromEnvTest, ValidInRangeValueIsSilent) {
-  std::ostringstream warn;
-  Logger logger(&warn);
-  EXPECT_EQ(ThreadPool::WorkersFromEnv("1", logger), 1);
-  EXPECT_TRUE(warn.str().empty());
 }
 
 TEST(RngTest, DeterministicForFixedSeed) {
@@ -372,55 +313,6 @@ TEST(BitMatrixTest, RowsAreIndependentSpans) {
   EXPECT_FALSE(matrix.Test(2, 0));
   matrix.Reset(0, 69);
   EXPECT_TRUE(matrix.row(0).None());
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_GE(pool.max_parallelism(), 1);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(hits.size(), 4, [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, HandlesEmptyAndSingleElementRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, 2, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, 2, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, SequentialFallbackWithZeroWorkers) {
-  ThreadPool pool(0);
-  std::vector<int> order;
-  pool.ParallelFor(5, 8, [&](size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, BackToBackJobsReuseWorkers) {
-  ThreadPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> sum{0};
-    pool.ParallelFor(64, 3, [&](size_t i) {
-      sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 64 * 63 / 2);
-  }
-}
-
-TEST(ThreadPoolTest, ResolveThreadsContract) {
-  EXPECT_EQ(ThreadPool::ResolveThreads(1), 1);
-  EXPECT_EQ(ThreadPool::ResolveThreads(4), 4);
-  EXPECT_GE(ThreadPool::ResolveThreads(0), 1);
-  EXPECT_GE(ThreadPool::ResolveThreads(-1), 1);
 }
 
 }  // namespace

@@ -138,7 +138,7 @@ TEST(DeltaCheckTest, CountsOneCheckAndTheVisitedTriples) {
     EXPECT_EQ(registry.counter("analyzer.triples_examined").value(),
               result.triples_examined);
     EXPECT_GE(registry.counter("analyzer.rows_scanned").value(), 1u);
-    EXPECT_EQ(registry.histogram("analyzer.rows_per_thread").sum(),
+    EXPECT_EQ(registry.histogram("analyzer.rows_per_check").sum(),
               registry.counter("analyzer.rows_scanned").value());
     EXPECT_EQ(registry.counter("analyzer.counterexamples_found").value(),
               result.robust ? 0u : 1u);

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/analyzer.h"
 #include "core/incremental.h"
 #include "core/optimal_allocation.h"
@@ -179,33 +178,28 @@ TEST(PhaseTimerTest, NullRegistryIsANoOp) {
 }
 
 // The acceptance-criteria contract: the metrics counter equals the audited
-// closed-form triples_examined, at any thread count.
+// closed-form triples_examined.
 TEST(AnalyzerMetricsTest, TriplesExaminedMatchesAuditedCount) {
   TransactionSet txns = Tpcc();
-  for (int threads : {1, 4}) {
-    MetricsRegistry registry;
-    CheckOptions options;
-    options.num_threads = threads;
-    options.metrics = &registry;
-    RobustnessResult result =
-        CheckRobustness(txns, Allocation::AllSI(txns.size()), options);
-    EXPECT_EQ(result.triples_examined,
-              internal::TriplesWhenRobust(txns.size()));
-    EXPECT_EQ(registry.counter("analyzer.triples_examined").value(),
-              result.triples_examined)
-        << "threads=" << threads;
-    EXPECT_EQ(registry.counter("analyzer.checks").value(), 1u);
-    EXPECT_EQ(registry.counter("analyzer.rows_scanned").value(), txns.size());
-    EXPECT_GT(registry.counter("analyzer.bitset_words_scanned").value(), 0u);
-    // Phases were timed.
-    EXPECT_EQ(
-        registry.histogram("phase.analyzer.build_conflict_matrix_us").count(),
-        1u);
-    EXPECT_EQ(registry.histogram("phase.analyzer.triple_scan_us").count(), 1u);
-    // Work-balance histogram accounts for every row exactly once.
-    EXPECT_EQ(registry.histogram("analyzer.rows_per_thread").sum(),
-              txns.size());
-  }
+  MetricsRegistry registry;
+  CheckOptions options;
+  options.metrics = &registry;
+  RobustnessResult result =
+      CheckRobustness(txns, Allocation::AllSI(txns.size()), options);
+  EXPECT_EQ(result.triples_examined, internal::TriplesWhenRobust(txns.size()));
+  EXPECT_EQ(registry.counter("analyzer.triples_examined").value(),
+            result.triples_examined);
+  EXPECT_EQ(registry.counter("analyzer.checks").value(), 1u);
+  EXPECT_EQ(registry.counter("analyzer.rows_scanned").value(), txns.size());
+  EXPECT_GT(registry.counter("analyzer.bitset_words_scanned").value(), 0u);
+  // Phases were timed.
+  EXPECT_EQ(
+      registry.histogram("phase.analyzer.build_conflict_matrix_us").count(),
+      1u);
+  EXPECT_EQ(registry.histogram("phase.analyzer.triple_scan_us").count(), 1u);
+  // One observation per check, holding every row it scanned.
+  EXPECT_EQ(registry.histogram("analyzer.rows_per_check").count(), 1u);
+  EXPECT_EQ(registry.histogram("analyzer.rows_per_check").sum(), txns.size());
 }
 
 TEST(AnalyzerMetricsTest, CounterexampleRunsCountWitnesses) {
@@ -354,21 +348,6 @@ TEST(EngineMetricsTest, MetricsDoNotChangeExecution) {
   EXPECT_EQ(observed.lock_conflicts, baseline.lock_conflicts);
   EXPECT_EQ(instrumented.stats().commits, plain.stats().commits);
   EXPECT_EQ(instrumented.stats().aborts_ssi, plain.stats().aborts_ssi);
-}
-
-TEST(PoolMetricsTest, ParallelForRecordsJobs) {
-  ThreadPool pool(2);
-  MetricsRegistry registry;
-  pool.ParallelFor(100, 3, [](size_t) {}, &registry);
-  EXPECT_EQ(registry.counter("pool.jobs").value(), 1u);
-  EXPECT_EQ(registry.counter("pool.iterations").value(), 100u);
-  EXPECT_EQ(registry.histogram("pool.participants_per_job").count(), 1u);
-  EXPECT_GE(registry.histogram("pool.participants_per_job").max(), 1u);
-
-  // Inline fallback (single iteration) is counted as an inline job.
-  pool.ParallelFor(1, 3, [](size_t) {}, &registry);
-  EXPECT_EQ(registry.counter("pool.jobs").value(), 2u);
-  EXPECT_EQ(registry.counter("pool.inline_jobs").value(), 1u);
 }
 
 // Regression for the census cap: max_interleavings == UINT64_MAX must not

@@ -311,17 +311,6 @@ TEST(OptimizePromotionsTest, CancelFlagReturnsBestSoFar) {
   EXPECT_TRUE(plan->promotions.empty());
 }
 
-TEST(OptimizePromotionsTest, ThreadedSearchMatchesSequential) {
-  TransactionSet txns = NamedTxns("smallbank:c=2");
-  StatusOr<PromotionPlan> sequential = OptimizePromotions(txns);
-  PromoteOptions threaded;
-  threaded.check.num_threads = 4;
-  StatusOr<PromotionPlan> parallel = OptimizePromotions(txns, threaded);
-  ASSERT_TRUE(sequential.ok() && parallel.ok());
-  EXPECT_EQ(sequential->promotions.reads(), parallel->promotions.reads());
-  EXPECT_EQ(sequential->after_allocation, parallel->after_allocation);
-}
-
 TEST(OptimizePromotionsTest, CostWeightsShapeTheObjective) {
   TransactionSet txns = Parse(kTriangle);
   PromoteOptions options;

@@ -15,6 +15,10 @@ Two kinds of checks, reflecting the two kinds of numbers in the file:
    promotions) that BM_OptimizePromotions attaches to its rows — a
    changed allocation cost is a behavior change, not noise.
 
+Timings compare only between like machines: when the two files'
+context.num_cpus differ, the gate fails before comparing anything (re-record
+the baseline on this machine with --update).
+
 A benchmark present in the baseline but missing from the fresh run fails
 the gate (silently dropping a benchmark is how regressions hide); new
 benchmarks are reported and pass.
@@ -132,6 +136,10 @@ def outcome_counters(doc):
     return outcomes
 
 
+def num_cpus(doc):
+    return doc.get("context", {}).get("num_cpus")
+
+
 def triples_examined(doc):
     try:
         counters = doc["mvrob_metrics"]["snapshot"]["counters"]
@@ -183,6 +191,13 @@ def main():
         return 0
 
     baseline = load(args.baseline)
+    if num_cpus(fresh) != num_cpus(baseline):
+        print(f"bench gate: {args.fresh} ran on {num_cpus(fresh)} CPU(s) but "
+              f"{args.baseline} was recorded on {num_cpus(baseline)}; "
+              "timings from different machines are not comparable — "
+              "re-record the baseline here with --update",
+              file=sys.stderr)
+        return 0 if args.warn_only else 1
     fresh_times = benchmark_times(fresh)
     baseline_times = benchmark_times(baseline)
 

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Runs the robustness scaling benchmarks and emits BENCH_robustness.json
 # (Google Benchmark's JSON format, which embeds the machine context:
-# cpu count, frequency, build type). Covers the old-vs-bitset ablation
-# (Legacy/Bitset on the RMW clique and readers/writers families) and the
-# sequential-vs-parallel thread sweep.
+# cpu count, frequency, build type). Covers the bitset analyzer's full
+# check on the RMW clique and readers/writers families.
 #
 # With a third argument, additionally runs the many-core MVCC scaling
 # sweep (bench_mvcc_scaling) into that file — the throughput-vs-threads
@@ -23,7 +22,7 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 "$BIN" \
-  --benchmark_filter='BM_(LegacyAnalyzer|BitsetAnalyzer|ParallelCheck)' \
+  --benchmark_filter='BM_BitsetAnalyzer' \
   --benchmark_format=json \
   --benchmark_out_format=json \
   --benchmark_out="$OUT" \
@@ -35,7 +34,7 @@ fi
 MVROB="$BUILD_DIR/tools/mvrob"
 if [[ -x "$MVROB" ]]; then
   STATS_TMP="$(mktemp)"
-  "$MVROB" check --workload tpcc:w=2,d=2 --threads 0 \
+  "$MVROB" check --workload tpcc:w=2,d=2 \
     --stats-json "$STATS_TMP" >/dev/null
   python3 - "$OUT" "$STATS_TMP" <<'PY'
 import json, sys

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full CI sweep: plain build + tests, then the ThreadSanitizer and
-# AddressSanitizer builds (-DMVROB_SANITIZE=thread|address) with the tests
-# that exercise the parallel engine and the bitset kernels. The TSan run
-# forces real pool workers via MVROB_POOL_WORKERS so the parallel paths
-# are genuinely concurrent even on single-core machines.
+# Full CI sweep: plain build + tests, smokes and bench gates, then the
+# ThreadSanitizer build (-DMVROB_SANITIZE=thread) with the tests of the
+# concurrent engine and its observers, and the AddressSanitizer build
+# (-DMVROB_SANITIZE=address) with the tests of the bitset kernels and the
+# analyzer.
 #
 # usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -19,7 +19,7 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 echo "==== observability smoke (--stats-json / --trace-out) ===="
 STATS_TMP="$(mktemp)"
 TRACE_TMP="$(mktemp)"
-build/tools/mvrob check --workload tpcc:w=2,d=2 --threads 0 \
+build/tools/mvrob check --workload tpcc:w=2,d=2 \
   --stats-json "$STATS_TMP" --trace-out "$TRACE_TMP" >/dev/null
 python3 - "$STATS_TMP" "$TRACE_TMP" <<'PY'
 import json, sys
@@ -366,8 +366,8 @@ echo "==== numeric-flag rejection smoke ===="
 # Malformed values, unknown flags and flags the command does not take
 # all fail; `<command> --help` succeeds.
 for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1" \
-    "check --bogus 3" "check --engine-threads 8" \
-    "explore --trace-sample 3"; do
+    "check --bogus 3" "check --engine-threads 8" "check --threads 2" \
+    "explore --trace-sample 3" "check --profile-out p.folded --profile-hz 0"; do
   if build/tools/mvrob $bad --workload tpcc:w=2,d=2 >/dev/null 2>&1; then
     echo "error: 'mvrob $bad' should have failed" >&2
     exit 1
@@ -377,13 +377,7 @@ build/tools/mvrob check --help >/dev/null || {
   echo "error: 'mvrob check --help' should have succeeded" >&2
   exit 1
 }
-if MVROB_POOL_WORKERS=junk build/tools/mvrob check \
-    --workload tpcc:w=2,d=2 --threads 4 2>/dev/null | grep -q robust; then
-  echo "numeric-flag rejection smoke OK (invalid env warns, run proceeds)"
-else
-  echo "error: invalid MVROB_POOL_WORKERS must warn, not fail" >&2
-  exit 1
-fi
+echo "numeric-flag rejection smoke OK"
 
 echo "==== round-trip validation smoke (validate) ===="
 # Recorded engine runs fed back through the formal checker; any
@@ -575,19 +569,17 @@ cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
 # Engine observers (recorder, tracer, live telemetry) run on the
 # concurrent engine's worker threads, so their suites build here too.
 cmake --build build-tsan -j"$JOBS" --target \
-  common_test parallel_differential_test concurrent_engine_test profiler_test \
-  recorder_test txn_trace_test
-MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
+  concurrent_engine_test profiler_test recorder_test txn_trace_test
+TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|EngineEventStream'
+  -R 'Concurrent|EngineEventStream'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 # The delta check indexes bit rows directly: its property test runs here.
 cmake --build build-asan -j"$JOBS" --target \
-  common_test parallel_differential_test core_test delta_check_property_test
-MVROB_POOL_WORKERS=3 \
-  ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|WordwiseInnerChain'
+  common_test analyzer_test core_test delta_check_property_test
+ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
+  -R 'DenseBitset|BitMatrix|Core|Analyzer|ParallelDifferential|DeltaCheck|WordwiseInnerChain'
 
 echo "==== all CI stages passed ===="
