@@ -1,7 +1,6 @@
 #ifndef MVROB_MVCC_SSI_TRACKER_H_
 #define MVROB_MVCC_SSI_TRACKER_H_
 
-#include <utility>
 #include <vector>
 
 #include "mvcc/engine.h"
