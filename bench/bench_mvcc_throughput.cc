@@ -37,11 +37,10 @@ struct RunOutcome {
 };
 
 RunOutcome Measure(const TransactionSet& programs, const Allocation& alloc,
-                   int concurrency, int repetitions,
-                   SsiMode ssi_mode = SsiMode::kExact) {
+                   int concurrency, int repetitions) {
   RunOutcome outcome;
   for (int rep = 0; rep < repetitions; ++rep) {
-    Engine engine(programs.num_objects(), EngineOptions{ssi_mode});
+    Engine engine(programs.num_objects());
     RandomRunOptions options;
     options.concurrency = concurrency;
     options.max_retries = 5;
@@ -160,21 +159,6 @@ void YcsbMixes() {
   }
 }
 
-void SsiModeAblation() {
-  std::printf("\nPart 4: exact vs conservative SSI detection (ablation)\n");
-  std::printf("(DESIGN.md: the engine defaults to the exact Definition 2.4\n");
-  std::printf(" check; Postgres-style pivot flags are cheaper per commit\n");
-  std::printf(" but abort on false positives)\n");
-  SmallBankParams params;
-  params.customers = 4;
-  params.rounds = 3;
-  Workload bank = MakeSmallBank(params);
-  Allocation all_ssi = Allocation::AllSSI(bank.txns.size());
-  PrintRow("SSI exact", Measure(bank.txns, all_ssi, 8, 10, SsiMode::kExact));
-  PrintRow("SSI conserv.",
-           Measure(bank.txns, all_ssi, 8, 10, SsiMode::kConservative));
-}
-
 }  // namespace
 }  // namespace mvrob
 
@@ -184,6 +168,5 @@ int main() {
   mvrob::ContentionSweep();
   mvrob::SmallBankAllocationPayoff();
   mvrob::YcsbMixes();
-  mvrob::SsiModeAblation();
   return 0;
 }

@@ -16,8 +16,6 @@ namespace {
 
 /// Published-snapshot slot value while a worker has no snapshot pinned.
 constexpr Timestamp kNoSnapshot = ~Timestamp{0};
-/// Prune the committed-SSI registry whenever it grows past this.
-constexpr size_t kSsiPruneThreshold = 128;
 
 }  // namespace
 
@@ -304,13 +302,11 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
     uint64_t commit_step = ts << 32;
     SsiConflictDetail detail;
     if (record.level == IsolationLevel::kSSI) {
-      // The candidate joins the registry for the test and stays there if
-      // it commits; the registry only changes under the commit mutex.
-      ssi_committed_.push_back(SsiMember{slot.id, &record, ts, commit_step});
-      detail = SsiTracker::FindDangerousStructure(ssi_committed_, slot.id);
+      // The candidate stays in the tracker if it commits; the tracker only
+      // changes under the commit mutex.
+      detail = ssi_.TryCommit({slot.id, &record, ts, commit_step});
     }
     if (detail.found) {
-      ssi_committed_.pop_back();
       const ConflictAttribution why{
           .conflicting_session = detail.peer,
           .object = detail.object,
@@ -344,8 +340,9 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
     // versions in the chains.
     clock_.store(ts, std::memory_order_seq_cst);
     if (record.level == IsolationLevel::kSSI &&
-        ssi_committed_.size() >= kSsiPruneThreshold) {
-      PruneSsiRegistryLocked();
+        ssi_.size() >= SsiTracker::kPruneThreshold) {
+      // A session's first step key is (snapshot << 32) | seq.
+      ssi_.Prune(MinPublishedSnapshot() << 32);
     }
     commit_lock.unlock();
     // Release row locks only after the clock publish: a writer that finds
@@ -434,6 +431,18 @@ void ConcurrentEngine::ReleaseRowLocks(const SessionRecord& record,
   }
 }
 
+Timestamp ConcurrentEngine::MinPublishedSnapshot() const {
+  // The clock first, then the published slots. A worker whose snapshot
+  // publish we miss here samples its snapshot after our clock read, so its
+  // snapshot is >= the result.
+  Timestamp horizon = clock_.load(std::memory_order_seq_cst);
+  for (size_t w = 0; w < num_workers_; ++w) {
+    horizon =
+        std::min(horizon, workers_[w].snapshot.load(std::memory_order_seq_cst));
+  }
+  return horizon;
+}
+
 size_t ConcurrentEngine::RunEpochGc() {
   // Single sweeper at a time; a colliding trigger simply skips (the next
   // epoch boundary retries).
@@ -443,14 +452,7 @@ size_t ConcurrentEngine::RunEpochGc() {
   // Per-shard heartbeats: a sweep wedged on one shard latch stalls out.
   WatchdogScope watch(options_.watchdog, "mvcc.gc", std::chrono::seconds(10));
 
-  // Horizon: the clock first, then the published slots. A worker whose
-  // snapshot publish we miss here sampled its snapshot after our clock
-  // read, so its snapshot is >= this horizon and stays readable.
-  Timestamp horizon = clock_.load(std::memory_order_seq_cst);
-  for (size_t w = 0; w < num_workers_; ++w) {
-    horizon =
-        std::min(horizon, workers_[w].snapshot.load(std::memory_order_seq_cst));
-  }
+  const Timestamp horizon = MinPublishedSnapshot();
 
   size_t reclaimed = 0;
   const size_t objects = store_.num_objects();
@@ -487,53 +489,6 @@ size_t ConcurrentEngine::RunEpochGc() {
   }
   gc_running_.store(false, std::memory_order_seq_cst);
   return reclaimed;
-}
-
-void ConcurrentEngine::PruneSsiRegistryLocked() {
-  // An entry can still join a dangerous structure only through a chain of
-  // Concurrent() links reaching a session whose first step is >= m — the
-  // lower bound on every active and future first step. Concurrent() is
-  // interval overlap of [first_step, commit_step), so merge entries into
-  // overlap components and drop every component that ends at or below m.
-  Timestamp min_ts = clock_.load(std::memory_order_seq_cst);
-  for (size_t w = 0; w < num_workers_; ++w) {
-    min_ts =
-        std::min(min_ts, workers_[w].snapshot.load(std::memory_order_seq_cst));
-  }
-  uint64_t m = min_ts << 32;
-
-  std::vector<SsiMember> kept;
-  kept.reserve(ssi_committed_.size());
-  std::sort(ssi_committed_.begin(), ssi_committed_.end(),
-            [](const SsiMember& a, const SsiMember& b) {
-              return a.record->first_step < b.record->first_step;
-            });
-  size_t component_begin = 0;
-  uint64_t component_end = 0;
-  auto flush = [&](size_t component_limit) {
-    if (component_end > m) {
-      for (size_t i = component_begin; i < component_limit; ++i) {
-        kept.push_back(ssi_committed_[i]);
-      }
-    }
-  };
-  for (size_t i = 0; i < ssi_committed_.size(); ++i) {
-    const SessionRecord* record = ssi_committed_[i].record;
-    // first_step == 0 (a committed SSI session with no operations) is
-    // never concurrent with anything; drop it outright.
-    if (record->first_step == 0) {
-      if (component_begin == i) ++component_begin;
-      continue;
-    }
-    if (i > component_begin && record->first_step >= component_end) {
-      flush(i);
-      component_begin = i;
-      component_end = 0;
-    }
-    component_end = std::max(component_end, record->commit_step);
-  }
-  flush(ssi_committed_.size());
-  ssi_committed_ = std::move(kept);
 }
 
 std::vector<SessionRecord> ConcurrentEngine::SessionSnapshot() const {

@@ -82,9 +82,9 @@ struct ConcurrentEngineOptions {
 ///    commits one worker sweeps all shards at the minimum published
 ///    horizon, logging a structured mvcc.gc line per reclamation.
 ///
-/// Sessions live in a deque (stable addresses); committed SSI records are
-/// published into a registry under the commit mutex and are immutable
-/// afterwards, which keeps the exact SSI check race-free.
+/// Sessions live in a deque (stable addresses). SSI commits are decided by
+/// the same SsiTracker as `Engine`'s, under the commit mutex; committed
+/// records are immutable, which keeps the exact SSI check race-free.
 ///
 /// Each worker index executes at most one session at a time (Begin
 /// retires the worker's previous session handle). Total operations per
@@ -165,10 +165,10 @@ class ConcurrentEngine {
                      const ConflictAttribution& why);
   void ReleaseRowLocks(const SessionRecord& record, SessionId id);
   void Emit(const EngineEvent& event);
-  /// Drops committed-SSI registry entries that can no longer join a
-  /// dangerous structure with any active or future session. Caller holds
-  /// commit_mu_.
-  void PruneSsiRegistryLocked();
+  /// The minimum of the clock and every published snapshot: no active or
+  /// future SI/SSI session has a snapshot below it. The epoch-GC horizon,
+  /// and (shifted into a step key) the SsiTracker::Prune bound.
+  Timestamp MinPublishedSnapshot() const;
 
   ConcurrentEngineOptions options_;
   size_t num_workers_;
@@ -187,9 +187,8 @@ class ConcurrentEngine {
 
   /// Serializes version-installing commits (and all SSI commits).
   std::mutex commit_mu_;
-  /// Committed SSI sessions still relevant for dangerous structures;
-  /// guarded by commit_mu_.
-  std::vector<SsiMember> ssi_committed_;
+  /// Committed SSI sessions and the commit test; guarded by commit_mu_.
+  SsiTracker ssi_;
 
   std::atomic<uint64_t> writer_commits_{0};
   std::atomic<bool> gc_running_{false};

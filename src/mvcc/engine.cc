@@ -5,7 +5,6 @@
 
 #include "common/metrics.h"
 #include "mvcc/observer.h"
-#include "mvcc/ssi_tracker.h"
 
 namespace mvrob {
 
@@ -13,7 +12,6 @@ Engine::Engine(size_t num_objects, EngineOptions options)
     : options_(std::move(options)), store_(num_objects) {
   observers_ = options_.observers;
   if (MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
-    m_ssi_false_positives_ = &metrics->counter("mvcc.ssi_false_positives");
     m_version_chain_len_ = &metrics->histogram("mvcc.version_chain_len");
     counters_ = std::make_unique<EngineCounters>(*metrics);
     observers_.push_back(counters_.get());
@@ -36,6 +34,7 @@ SessionId Engine::Begin(IsolationLevel level) {
   sessions_.push_back(std::move(record));
   ++stats_.begins;
   SessionId id = static_cast<SessionId>(sessions_.size() - 1);
+  active_.push_back(id);
   if (!observers_.empty()) {
     Emit({.kind = EngineEventKind::kBegin,
           .session = id,
@@ -148,39 +147,20 @@ CommitResult Engine::Commit(SessionId session) {
   assert(record.state == TxnState::kActive);
   CommitResult result;
 
-  bool ssi_abort = false;
-  SsiConflictDetail detail;
   if (record.level == IsolationLevel::kSSI) {
-    const Timestamp ts = clock_ + 1;
-    const uint64_t step = step_ + 1;
-    const bool exact = options_.ssi_mode == SsiMode::kExact;
-    ssi_abort =
-        exact || SsiTracker::WouldCreatePivot(sessions_, session, ts, step);
-    // The exact scan is the verdict in exact mode and attributes the
-    // abort. After a conservative abort it runs only when someone is
-    // watching; found == false there marks a false positive.
-    if (ssi_abort &&
-        (exact || m_ssi_false_positives_ != nullptr || !observers_.empty())) {
-      detail = SsiTracker::FindDangerousStructure(
-          SsiTracker::CommittedMembers(sessions_, session, ts, step), session);
-      if (exact) {
-        ssi_abort = detail.found;
-      } else if (!detail.found && m_ssi_false_positives_ != nullptr) {
-        m_ssi_false_positives_->Increment();
-      }
+    const SsiConflictDetail detail =
+        ssi_.TryCommit({session, &record, clock_ + 1, step_ + 1});
+    if (detail.found) {
+      AbortInternal(session, AbortReason::kSsiDangerousStructure,
+                    {.conflicting_session = detail.peer,
+                     .object = detail.object,
+                     .version_ts = detail.version_ts,
+                     .type = ConflictType::kRW,
+                     .cause = TraceAbortCause::kSsiDangerousStructure});
+      result.status = StepStatus::kAborted;
+      result.abort_reason = AbortReason::kSsiDangerousStructure;
+      return result;
     }
-  }
-  if (ssi_abort) {
-    const ConflictAttribution why{
-        .conflicting_session = detail.peer,
-        .object = detail.object,
-        .version_ts = detail.version_ts,
-        .type = ConflictType::kRW,
-        .cause = TraceAbortCause::kSsiDangerousStructure};
-    AbortInternal(session, AbortReason::kSsiDangerousStructure, why);
-    result.status = StepStatus::kAborted;
-    result.abort_reason = AbortReason::kSsiDangerousStructure;
-    return result;
   }
 
   ++step_;
@@ -196,6 +176,11 @@ CommitResult Engine::Commit(SessionId session) {
     }
   }
   ++stats_.commits;
+  Retire(session);
+  if (record.level == IsolationLevel::kSSI &&
+      ssi_.size() >= SsiTracker::kPruneThreshold) {
+    ssi_.Prune(SsiHorizon());
+  }
   result.commit_ts = commit_ts;
   if (!observers_.empty()) {
     Emit({.kind = EngineEventKind::kCommit,
@@ -222,13 +207,30 @@ size_t Engine::Vacuum() {
   // RC sessions always read the newest committed version, so only snapshot
   // sessions pin history.
   Timestamp horizon = clock_;
-  for (const SessionRecord& record : sessions_) {
-    if (record.state == TxnState::kActive &&
-        record.level != IsolationLevel::kRC) {
+  for (SessionId id : active_) {
+    const SessionRecord& record = sessions_[id];
+    if (record.level != IsolationLevel::kRC) {
       horizon = std::min(horizon, record.snapshot_ts);
     }
   }
   return store_.Vacuum(horizon);
+}
+
+uint64_t Engine::SsiHorizon() const {
+  // A session's first step is the step of its first read or write, so a
+  // session that has none yet gets one above the current step.
+  uint64_t m = step_ + 1;
+  for (SessionId id : active_) {
+    const SessionRecord& record = sessions_[id];
+    if (record.level == IsolationLevel::kSSI && record.first_step != 0) {
+      m = std::min(m, record.first_step);
+    }
+  }
+  return m;
+}
+
+void Engine::Retire(SessionId session) {
+  active_.erase(std::find(active_.begin(), active_.end(), session));
 }
 
 void Engine::AbortInternal(SessionId session, AbortReason reason,
@@ -237,6 +239,7 @@ void Engine::AbortInternal(SessionId session, AbortReason reason,
   assert(record.state == TxnState::kActive);
   record.state = TxnState::kAborted;
   record.abort_reason = reason;
+  Retire(session);
   for (const auto& [object, value] : record.write_buffer) {
     (void)value;
     auto lock = row_locks_.find(object);

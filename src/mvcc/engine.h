@@ -1,16 +1,17 @@
 #ifndef MVROB_MVCC_ENGINE_H_
 #define MVROB_MVCC_ENGINE_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "iso/isolation_level.h"
+#include "mvcc/ssi_tracker.h"
 #include "mvcc/version_store.h"
 
 namespace mvrob {
 
-class Counter;
 class EngineCounters;
 class EngineObserver;
 class Histogram;
@@ -124,30 +125,11 @@ struct SessionRecord {
   std::vector<SessionWriteRecord> writes;
 };
 
-/// How the engine detects SSI dangerous structures.
-enum class SsiMode : uint8_t {
-  /// Exact Definition 2.4: abort a commit iff it completes a dangerous
-  /// structure among committed SSI sessions (no false positives).
-  kExact,
-  /// Postgres/Cahill-style conservative flags: abort a committing SSI
-  /// session if any SSI pivot then has both an incoming and an outgoing
-  /// rw-antidependency, ignoring the commit-order conditions and counting
-  /// still-active sessions. Strictly more aborts (false positives), much
-  /// cheaper bookkeeping in a real system; the ablation benchmark
-  /// quantifies the gap.
-  kConservative,
-};
-
 struct EngineOptions {
-  SsiMode ssi_mode = SsiMode::kExact;
   /// Optional observability sink (common/metrics.h). Null disables all
   /// instrumentation. When set, the engine attaches an EngineCounters
   /// observer (the per-op mvcc.* counters) and records the
-  /// mvcc.version_chain_len histogram. With kConservative SSI mode it
-  /// additionally runs the exact Definition 2.4 check on every
-  /// conservative abort and counts the disagreements as
-  /// mvcc.ssi_false_positives (conservative aborts the exact check would
-  /// not have taken).
+  /// mvcc.version_chain_len histogram.
   MetricsRegistry* metrics = nullptr;
   /// Observers of the engine event stream (mvcc/observer.h): the schedule
   /// recorder, the transaction tracer, live telemetry. Each receives one
@@ -213,18 +195,28 @@ class Engine {
  private:
   void AbortInternal(SessionId session, AbortReason reason,
                      const ConflictAttribution& why);
+  /// Removes a session that committed or aborted from active_.
+  void Retire(SessionId session);
+  /// The SsiTracker::Prune bound: no active or future SSI session has a
+  /// first step below it.
+  uint64_t SsiHorizon() const;
   void Emit(const EngineEvent& event);
 
   EngineOptions options_;
-  // Non-event instruments, resolved once at construction; null when
+  // Non-event instrument, resolved once at construction; null when
   // options_.metrics is null.
-  Counter* m_ssi_false_positives_ = nullptr;
   Histogram* m_version_chain_len_ = nullptr;
   std::unique_ptr<EngineCounters> counters_;
   /// options_.observers plus counters_; empty when nothing watches.
   std::vector<EngineObserver*> observers_;
   VersionStore store_;
-  std::vector<SessionRecord> sessions_;
+  /// Indexed by session id; the deque keeps records at stable addresses
+  /// for ssi_.
+  std::deque<SessionRecord> sessions_;
+  /// Ids of the active sessions, unordered.
+  std::vector<SessionId> active_;
+  /// Committed SSI sessions and the commit test.
+  SsiTracker ssi_;
   /// Per session id, the row lock its latest blocked write hit (object,
   /// holder): the peer named when the caller aborts it as a deadlock
   /// victim or lock conflict. Grown on the first block past its end.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "mvcc/engine.h"
+
 namespace mvrob {
 namespace {
 
@@ -34,53 +36,7 @@ bool RwAntiEdge(const SsiMember& a, const SsiMember& b,
   return false;
 }
 
-// Potential rw-antidependency for the conservative mode: a read by `a` of
-// an object `b` writes, where `a` did not observe `b`'s version —
-// uncommitted writes count (the edge will materialize if b commits).
-bool PotentialRwAntiEdge(const SsiMember& a, const SsiMember& b) {
-  if (a.id == b.id) return false;
-  for (const SessionReadRecord& read : a.record->reads) {
-    if (!b.record->write_buffer.contains(read.object)) continue;
-    if (read.version_writer != b.id) return true;
-  }
-  return false;
-}
-
-// The SSI members of `sessions`: committed ones, the candidate with its
-// hypothetical commit, and — for the conservative check — active ones as
-// not yet committed.
-std::vector<SsiMember> Members(const std::vector<SessionRecord>& sessions,
-                               SessionId candidate,
-                               Timestamp candidate_commit_ts,
-                               uint64_t candidate_commit_step,
-                               bool with_active) {
-  constexpr Timestamp kInfTs = ~Timestamp{0};
-  constexpr uint64_t kInfStep = ~uint64_t{0};
-  std::vector<SsiMember> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          SsiMember{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          SsiMember{id, &record, record.commit_ts, record.commit_step});
-    } else if (with_active && record.state == TxnState::kActive) {
-      members.push_back(SsiMember{id, &record, kInfTs, kInfStep});
-    }
-  }
-  return members;
-}
-
 }  // namespace
-
-std::vector<SsiMember> SsiTracker::CommittedMembers(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  return Members(sessions, candidate, candidate_commit_ts,
-                 candidate_commit_step, /*with_active=*/false);
-}
 
 // A structure completed by this commit involves the candidate (the commit
 // is the last event of the three transactions), but scanning all triples
@@ -123,28 +79,25 @@ SsiConflictDetail SsiTracker::FindDangerousStructure(
   return detail;
 }
 
-bool SsiTracker::WouldCreatePivot(const std::vector<SessionRecord>& sessions,
-                                  SessionId candidate,
-                                  Timestamp candidate_commit_ts,
-                                  uint64_t candidate_commit_step) {
-  const std::vector<SsiMember> members =
-      Members(sessions, candidate, candidate_commit_ts, candidate_commit_step,
-              /*with_active=*/true);
-  for (const SsiMember& pivot : members) {
-    for (const SsiMember& in : members) {
-      if (in.id == pivot.id || !Concurrent(in, pivot)) continue;
-      if (!PotentialRwAntiEdge(in, pivot)) continue;
-      for (const SsiMember& out : members) {
-        if (out.id == pivot.id || !Concurrent(pivot, out)) continue;
-        if (pivot.id != candidate && in.id != candidate &&
-            out.id != candidate) {
-          continue;
-        }
-        if (PotentialRwAntiEdge(pivot, out)) return true;
-      }
-    }
+SsiConflictDetail SsiTracker::TryCommit(const SsiMember& candidate) {
+  auto position = std::upper_bound(
+      members_.begin(), members_.end(), candidate.id,
+      [](SessionId id, const SsiMember& member) { return id < member.id; });
+  position = members_.insert(position, candidate);
+  SsiConflictDetail detail = FindDangerousStructure(members_, candidate.id);
+  if (detail.found) members_.erase(position);
+  return detail;
+}
+
+void SsiTracker::Prune(uint64_t m) {
+  uint64_t h = m;
+  for (const SsiMember& member : members_) {
+    const uint64_t first = member.record->first_step;
+    if (first != 0 && member.commit_step > m) h = std::min(h, first);
   }
-  return false;
+  std::erase_if(members_, [h](const SsiMember& member) {
+    return member.record->first_step == 0 || member.commit_step <= h;
+  });
 }
 
 }  // namespace mvrob

@@ -316,6 +316,13 @@ TEST(ConcurrentDifferentialTest, SmallBankAgainstDeterministicOracle) {
                              /*runs=*/25, /*seed=*/11);
 }
 
+TEST(ConcurrentDifferentialTest, SmallBankAllSsiAboveTrackerThreshold) {
+  // 320 programs, all SSI: each run commits past
+  // SsiTracker::kPruneThreshold, so the tracker prunes under contention.
+  ValidateConcurrentWorkload("smallbank:c=64", &Allocation::AllSSI,
+                             /*runs=*/10, /*seed=*/15);
+}
+
 TEST(ConcurrentDifferentialTest, TpccAgainstDeterministicOracle) {
   ValidateConcurrentWorkload("tpcc", &Allocation::AllSI, /*runs=*/20,
                              /*seed=*/12);

@@ -7,7 +7,6 @@
 #include "mvcc/trace.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"
-#include "workloads/smallbank.h"
 
 namespace mvrob {
 namespace {
@@ -152,6 +151,25 @@ TEST(EngineTest, SsiReadOnlyObserverTriggersAbortOnlyWhenDangerous) {
   SessionId t2 = engine.Begin(IsolationLevel::kSSI);
   ASSERT_EQ(engine.Write(t2, 0, 1).status, StepStatus::kOk);
   EXPECT_EQ(engine.Commit(t2).status, StepStatus::kOk);
+}
+
+TEST(EngineTest, SsiCommitOrderOptimizationCommitsPivot) {
+  // T1: R[x]; T2: R[y] W[x]; T3: W[y], committing in the order
+  // C1 C2 C3. The pivot T2 has an incoming (T1) and an outgoing (T3)
+  // antidependency, but T3 commits LAST, so no dangerous structure exists
+  // (the commit-order optimization of [15]/Postgres): all three commit.
+  Engine engine(2);
+  SessionId t1 = engine.Begin(IsolationLevel::kSSI);
+  SessionId t2 = engine.Begin(IsolationLevel::kSSI);
+  SessionId t3 = engine.Begin(IsolationLevel::kSSI);
+  (void)engine.Read(t1, 0);  // R1[x].
+  (void)engine.Read(t2, 1);  // R2[y].
+  ASSERT_EQ(engine.Write(t2, 0, 1).status, StepStatus::kOk);  // W2[x].
+  ASSERT_EQ(engine.Write(t3, 1, 2).status, StepStatus::kOk);  // W3[y].
+  for (SessionId s : {t1, t2, t3}) {
+    EXPECT_EQ(engine.Commit(s).status, StepStatus::kOk) << "session " << s;
+  }
+  EXPECT_EQ(engine.stats().aborts_ssi, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,102 +317,6 @@ TEST(DriverTest, HotspotContentionAbortsUnderSiButNotRc) {
   EXPECT_EQ(rc_commits, 40u);
   EXPECT_LT(si_commits, 40u);
   EXPECT_GT(si_aborts, 0u);
-}
-
-
-// ---------------------------------------------------------------------------
-// SSI mode ablation: exact Definition 2.4 vs conservative pivot flags.
-// ---------------------------------------------------------------------------
-
-TEST(SsiModeTest, ConservativeAbortsWriteSkewToo) {
-  Engine engine(2, EngineOptions{SsiMode::kConservative});
-  SessionId t1 = engine.Begin(IsolationLevel::kSSI);
-  SessionId t2 = engine.Begin(IsolationLevel::kSSI);
-  (void)engine.Read(t1, 0);
-  (void)engine.Read(t2, 1);
-  ASSERT_EQ(engine.Write(t1, 1, 1).status, StepStatus::kOk);
-  ASSERT_EQ(engine.Write(t2, 0, 2).status, StepStatus::kOk);
-  // The conservative mode may refuse even the FIRST commit (the pivot
-  // flags are already set); at most one of the two commits may succeed.
-  int commits = 0;
-  if (engine.Commit(t1).status == StepStatus::kOk) ++commits;
-  if (engine.session(t2).state == TxnState::kActive &&
-      engine.Commit(t2).status == StepStatus::kOk) {
-    ++commits;
-  }
-  EXPECT_LE(commits, 1);
-  EXPECT_GE(engine.stats().aborts_ssi, 1u);
-}
-
-TEST(SsiModeTest, ConservativeHasFalsePositives) {
-  // T1: R[x]; T2: R[y] W[x]; T3: W[y], committing in the order
-  // C1 C2 C3. The pivot T2 has an incoming (T1) and an outgoing (T3)
-  // antidependency, but T3 commits LAST, so no dangerous structure exists
-  // (the commit-order optimization of [15]/Postgres): the exact mode
-  // commits everything, the conservative mode aborts.
-  auto run = [](SsiMode mode) {
-    Engine engine(2, EngineOptions{mode});
-    SessionId t1 = engine.Begin(IsolationLevel::kSSI);
-    SessionId t2 = engine.Begin(IsolationLevel::kSSI);
-    SessionId t3 = engine.Begin(IsolationLevel::kSSI);
-    (void)engine.Read(t1, 0);       // R1[x].
-    (void)engine.Read(t2, 1);       // R2[y].
-    EXPECT_EQ(engine.Write(t2, 0, 1).status, StepStatus::kOk);  // W2[x].
-    EXPECT_EQ(engine.Write(t3, 1, 2).status, StepStatus::kOk);  // W3[y].
-    int commits = 0;
-    for (SessionId s : {t1, t2, t3}) {
-      if (engine.session(s).state == TxnState::kActive &&
-          engine.Commit(s).status == StepStatus::kOk) {
-        ++commits;
-      }
-    }
-    return commits;
-  };
-  EXPECT_EQ(run(SsiMode::kExact), 3);
-  EXPECT_LT(run(SsiMode::kConservative), 3);
-}
-
-TEST(SsiModeTest, ConservativeTracesStayAllowedAndSerializable) {
-  Workload bank = MakeSmallBank(SmallBankParams{});
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    Engine engine(bank.txns.num_objects(),
-                  EngineOptions{SsiMode::kConservative});
-    RandomRunOptions options;
-    options.concurrency = 4;
-    options.seed = seed;
-    RunRandom(engine, bank.txns, Allocation::AllSSI(bank.txns.size()),
-              options);
-    StatusOr<ExportedRun> run = ExportCommittedRun(engine, bank.txns);
-    ASSERT_TRUE(run.ok());
-    StatusOr<Schedule> schedule = run->BuildSchedule();
-    ASSERT_TRUE(schedule.ok());
-    EXPECT_TRUE(AllowedUnder(*schedule, run->allocation));
-    EXPECT_TRUE(IsConflictSerializable(*schedule));
-  }
-}
-
-TEST(SsiModeTest, ConservativeNeverAbortsLess) {
-  // Across seeds, conservative SSI aborts at least as many transactions as
-  // the exact mode on the same workload (superset property).
-  Workload bank = MakeSmallBank(SmallBankParams{});
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    RandomRunOptions options;
-    options.concurrency = 6;
-    options.max_retries = 0;
-    options.seed = seed;
-    Engine exact(bank.txns.num_objects(), EngineOptions{SsiMode::kExact});
-    Engine conservative(bank.txns.num_objects(),
-                        EngineOptions{SsiMode::kConservative});
-    DriverReport exact_report = RunRandom(
-        exact, bank.txns, Allocation::AllSSI(bank.txns.size()), options);
-    DriverReport conservative_report =
-        RunRandom(conservative, bank.txns,
-                  Allocation::AllSSI(bank.txns.size()), options);
-    // Identical seeds do not guarantee identical interleavings once aborts
-    // diverge, so compare aggregate commits, not per-run traces.
-    EXPECT_LE(conservative_report.committed, exact_report.committed + 2)
-        << "seed " << seed;
-  }
 }
 
 }  // namespace

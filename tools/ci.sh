@@ -2,8 +2,8 @@
 # Full CI sweep: plain build + tests, smokes and bench gates, then the
 # ThreadSanitizer build (-DMVROB_SANITIZE=thread) with the tests of the
 # concurrent engine and its observers, and the AddressSanitizer build
-# (-DMVROB_SANITIZE=address) with the tests of the bitset kernels and the
-# analyzer.
+# (-DMVROB_SANITIZE=address) with the tests of the bitset kernels, the
+# analyzer and the SSI tracker.
 #
 # usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -577,9 +577,12 @@ TSAN_OPTIONS="halt_on_error=1" \
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 # The delta check indexes bit rows directly: its property test runs here.
+# So does the SSI tracker's oracle test, which keeps raw pointers to
+# session records across prunes.
 cmake --build build-asan -j"$JOBS" --target \
-  common_test analyzer_test core_test delta_check_property_test
+  common_test analyzer_test core_test delta_check_property_test \
+  ssi_tracker_test
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|Core|Analyzer|ParallelDifferential|DeltaCheck|WordwiseInnerChain'
+  -R 'DenseBitset|BitMatrix|Core|Analyzer|ParallelDifferential|DeltaCheck|WordwiseInnerChain|SsiTracker'
 
 echo "==== all CI stages passed ===="
